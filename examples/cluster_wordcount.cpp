@@ -16,8 +16,9 @@
 // watermark filter) double-counting nothing.
 //
 // The sender stamps monotone timestamps, delivers through net::RemoteChannel
-// (log-before-send), and exits 0 only once every line is durably
-// acknowledged. scripts/net_smoke.sh drives the kill/restart scenario.
+// (log-before-send) over a net::MuxPool connection, and exits 0 only once
+// every line is durably acknowledged. scripts/net_smoke.sh drives the
+// kill/restart scenario.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -33,6 +34,7 @@
 #include "src/common/clock.h"
 #include "src/common/serialize.h"
 #include "src/net/channel_server.h"
+#include "src/net/mux.h"
 #include "src/net/remote_channel.h"
 #include "src/runtime/cluster.h"
 #include "src/state/chunk.h"
@@ -187,9 +189,9 @@ int RunReceiver(const Args& args) {
                  static_cast<unsigned long long>(durable_w));
   }
 
-  // Ingest state shared between the wire threads and the checkpointer. The
-  // mutex gates ingest: while a checkpoint holds it, on_batch blocks on the
-  // connection reader thread, which backpressures the wire.
+  // Ingest state shared between the wire and the checkpointer. The mutex
+  // gates ingest: while a checkpoint holds it, on_batch blocks on the
+  // stream's dispatch entity, whose credit window backpressures the wire.
   std::mutex ingest_mu;
   uint64_t received_w = durable_w;
 
@@ -271,12 +273,16 @@ int RunReceiver(const Args& args) {
 
 int RunSender(const Args& args) {
   sdg::runtime::OutputBuffer log;
+  sdg::net::MuxConnection::Options mopts;
+  mopts.deployment_id = 1;
+  sdg::net::MuxPool pool(mopts);
   sdg::net::RemoteChannelOptions opts;
   opts.port = args.port;
   opts.entry = "line";
   opts.deployment_id = 1;
   opts.reconnect_attempts = 300;
   opts.reconnect_backoff_ms = 100;
+  opts.mux = &pool;
   sdg::net::RemoteChannel chan(opts, &log);
   auto st = chan.Connect();
   if (!st.ok()) {
@@ -321,7 +327,7 @@ int RunSender(const Args& args) {
       // The receiver died after the send loop finished; nothing else will
       // touch the channel, so the drain loop owns the redial. Connect() is
       // idempotent on a live channel and replays past the ack watermark the
-      // restarted receiver reports in its handshake.
+      // restarted receiver reports in its open-ack.
       (void)chan.Connect();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

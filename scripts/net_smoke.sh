@@ -96,7 +96,7 @@ count_data_socks() {
 # promise: ALL (entry, partition) channels to one worker share ONE socket.
 # Polls until the count is nonzero and stable (the head connects channels as
 # partitions flip), then requires exactly 1. A count that settles above 1
-# means channels fell back to per-channel sockets — the O(entries x
+# means channels stopped sharing the pooled socket — the O(entries x
 # partitions) regression this guard exists to catch.
 assert_one_data_sock() {
   local n=0 prev=-1 deadline=$(( $(date +%s) + 15 ))
@@ -132,7 +132,7 @@ KILLED_AT="$(grep CKPT "$WORK/recv1.log" | tail -1)"
 echo "receiver killed mid-stream after: $KILLED_AT"
 
 # Incarnation 2: same port, restored from the snapshot. The sender's
-# reconnect handshake learns the durable watermark and replays past it.
+# reconnect open-ack carries the durable watermark and it replays past it.
 sleep 0.2
 $SETSID "$BIN" --role receiver --port "$PORT" --snapshot "$SNAP" \
   --ckpt-interval-ms 100 > "$WORK/recv2.log" 2>&1 &

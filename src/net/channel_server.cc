@@ -104,23 +104,17 @@ void ChannelServer::PeerDispatch::Drain() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
   }
-  // Frames already handed over are still dispatched (parity with the
-  // threaded reader, which delivers what it decoded before the socket cut);
-  // anything beyond that is unacked and will be replayed by the sender.
+  // Frames already handed over are still dispatched; anything beyond that is
+  // unacked and will be replayed by the sender.
   AwaitIdle();
 }
 
 // ---------------------------------------------------------------------------
 // ChannelServer
 
-// One decoded frame for any peer kind. Runs on the peer's dispatch entity
-// (event-loop mode) or reader thread (threaded mode) — never the epoll loop.
+// One decoded frame for any dispatched peer kind (a stream, client or feed).
+// Runs on the peer's dispatch entity — never the epoll loop.
 void ChannelServer::DispatchPeerFrame(Peer& peer, Frame frame) {
-  if (peer.is_mux) {
-    // Mux parent frames never reach here: kMuxOpen is handled on a dedicated
-    // thread (see SetupMuxPeer) and everything else routes to a stream.
-    return;
-  }
   if (peer.is_member) {
     // A mux reply stream: kResponse (etc.) frames take the member-frame
     // route — same handler as the control channel, different wire.
@@ -213,27 +207,22 @@ Status ChannelServer::Start(HandshakeFn on_handshake, BatchFn on_batch,
   on_migration_ = std::move(on_migration);
   SDG_ASSIGN_OR_RETURN(listener_, Listener::Bind(options_.port));
   port_ = listener_.port();
-  if (options_.mode == NetMode::kEventLoop) {
-    executor_ = options_.executor != nullptr ? options_.executor
-                                             : runtime::Executor::Shared();
-    loop_ = options_.loop != nullptr ? options_.loop : EventLoop::Shared();
-    SDG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
-    SDG_RETURN_IF_ERROR(loop_->Register(listener_.fd(), this,
-                                        /*want_read=*/true,
-                                        /*want_write=*/false));
-  } else {
-    acceptor_ = std::thread([this] { AcceptLoop(); });
-  }
+  executor_ = runtime::Executor::Shared();
+  loop_ = EventLoop::Shared();
+  SDG_RETURN_IF_ERROR(listener_.SetNonBlocking(true));
+  SDG_RETURN_IF_ERROR(loop_->Register(listener_.fd(), this,
+                                      /*want_read=*/true,
+                                      /*want_write=*/false));
   return Status::Ok();
 }
 
-// Listener readiness (event-loop mode, loop thread): accept everything
-// pending, then hand each handshake to a short-lived setup thread. The
-// handshake is deliberately NOT an executor task: it blocks waiting on the
-// client, and the client side of a reconnect may itself be an executor task
-// blocked waiting on this ack — on a small pool that is a circular wait.
-// Setup threads exist only during connection churn, so the steady-state
-// thread count stays O(pool size).
+// Listener readiness (loop thread): accept everything pending, then hand
+// each first-frame exchange to a short-lived setup thread. The exchange is
+// deliberately NOT an executor task: it blocks waiting on the client, and
+// the client side of a reconnect may itself be an executor task blocked
+// waiting on this reply — on a small pool that is a circular wait. Setup
+// threads exist only during connection churn, so the steady-state thread
+// count stays O(pool size).
 void ChannelServer::OnReadable() {
   for (;;) {
     auto sock = listener_.TryAccept();
@@ -252,39 +241,18 @@ void ChannelServer::OnReadable() {
   }
 }
 
-void ChannelServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    auto sock = listener_.Accept();
-    if (!sock.ok()) {
-      return;  // listener closed (Stop) or fatal accept error
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    // Handshakes run off the acceptor so one slow client cannot delay the
-    // next accept.
-    std::lock_guard<std::mutex> lock(peers_mutex_);
-    if (!running_.load(std::memory_order_acquire)) {
-      return;
-    }
-    setup_threads_.emplace_back(
-        [this, s = std::make_shared<Socket>(std::move(*sock))]() mutable {
-          SetupPeer(std::move(*s));
-        });
-  }
-}
-
 void ChannelServer::SetupPeer(Socket socket) {
-  // Bound the handshake so a silent client cannot pin this thread (and
-  // therefore Stop) indefinitely. Cleared before the data-path regime, where
-  // an idle-but-healthy peer is normal.
+  // Bound the first frame so a silent client cannot pin this thread (and
+  // therefore Stop) indefinitely. Cleared before the event-loop regime,
+  // where an idle-but-healthy peer is normal.
   socket.SetRecvTimeout(5000);
   FrameDecoder carry;
   auto first = ReadFrameBlocking(socket, carry);
   if (!first.ok()) {
-    SDG_LOG(kWarning) << "connection dropped before handshake";
+    SDG_LOG(kWarning) << "connection dropped before its first frame";
     return;
   }
-  // The first frame selects the connection's role: a data handshake (the
-  // historical path), a membership join, or an inbound migration session.
+  // The first frame selects the connection's role.
   if (first->type == FrameType::kJoin) {
     SetupMember(std::move(socket), std::move(carry), *first);
     return;
@@ -310,74 +278,8 @@ void ChannelServer::SetupPeer(Socket socket) {
     SetupServePeer(std::move(socket), std::move(carry), std::move(*first));
     return;
   }
-  if (first->type != FrameType::kHandshake) {
-    SDG_LOG(kWarning) << "connection opened with unexpected frame type "
-                      << static_cast<int>(first->type);
-    return;
-  }
-  auto hs = Handshake::Decode(first->payload);
-  if (!hs.ok()) {
-    SDG_LOG(kWarning) << "malformed handshake: " << hs.status().ToString();
-    return;
-  }
-
-  HandshakeAck ack;
-  if (hs->protocol != kProtocolVersion) {
-    ack.accepted = false;
-    ack.message = "protocol version mismatch";
-  } else {
-    auto watermark = on_handshake_(*hs);
-    if (watermark.ok()) {
-      ack.accepted = true;
-      ack.acked_ts = *watermark;
-    } else {
-      ack.accepted = false;
-      ack.message = watermark.status().message();
-    }
-  }
-  Status sent = WriteFrameBlocking(socket, FrameType::kHandshakeAck,
-                                   ack.Encode());
-  if (!sent.ok() || !ack.accepted) {
-    return;
-  }
-
-  socket.SetRecvTimeout(0);
-  auto peer = std::make_shared<Peer>();
-  peer->handshake = std::move(*hs);
-  Peer* raw = peer.get();
-  Connection::Options copts;
-  copts.send_queue_frames = options_.send_queue_frames;
-  if (options_.mode == NetMode::kEventLoop) {
-    peer->dispatch = std::make_unique<PeerDispatch>(this, raw, executor_);
-    PeerDispatch* dispatch = peer->dispatch.get();
-    copts.loop = loop_;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
-        [](const Status&) {
-          // A broken inbound connection is routine (sender failover or
-          // restart); the peer is reaped on the next Ack/Stop.
-        },
-        std::move(carry));
-    dispatch->SetConnection(peer->conn.get());
-  } else {
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [this, raw](Frame frame) {
-          DispatchPeerFrame(*raw, std::move(frame));
-        },
-        [](const Status&) {
-          // Reaped on the next Ack/Stop, as above.
-        },
-        std::move(carry));
-  }
-  std::lock_guard<std::mutex> lock(peers_mutex_);
-  if (!running_.load(std::memory_order_acquire)) {
-    ClosePeer(*peer);  // raced with Stop — do not install
-    return;
-  }
-  ReapBrokenPeersLocked();
-  peers_.push_back(std::move(peer));
+  SDG_LOG(kWarning) << "connection opened with unexpected frame type "
+                    << static_cast<int>(first->type);
 }
 
 void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
@@ -416,11 +318,9 @@ void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
   const uint32_t member_id = ack.member_id;
   Connection::Options copts;
   copts.send_queue_frames = options_.send_queue_frames;
-  if (options_.mode == NetMode::kEventLoop) {
-    copts.loop = loop_;
-  }
-  // Member frames are control replies — rare and small — so both modes route
-  // them straight from the IO thread; on_member_ must not block.
+  copts.loop = loop_;
+  // Member frames are control replies — rare and small — so they route
+  // straight from the loop thread; on_member_ must not block.
   peer->conn = std::make_unique<Connection>(
       std::move(socket), copts,
       [this, member_id](Frame frame) {
@@ -453,10 +353,7 @@ void ChannelServer::SetupMember(Socket socket, FrameDecoder carry,
     }
   }
   peers_.push_back(std::move(peer));
-  BinaryWriter frame;
-  const std::vector<uint8_t> payload = ack.Encode();
-  EncodeFrame(frame, FrameType::kJoinAck, payload.data(), payload.size());
-  (void)conn->Send(frame.buffer());
+  (void)conn->SendFrame(FrameType::kJoinAck, 0, ack.Encode());
 }
 
 void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
@@ -465,10 +362,8 @@ void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
   MuxHelloAckMsg ack;
   if (!hello.ok()) {
     ack.message = "malformed mux hello";
-  } else if (hello->protocol != kProtocolVersionMux) {
+  } else if (hello->protocol != kProtocolVersion) {
     ack.message = "protocol version mismatch";
-  } else if (options_.mode != NetMode::kEventLoop) {
-    ack.message = "mux requires event-loop mode";
   } else {
     ack.accepted = true;
     ack.window = options_.mux_stream_window;
@@ -496,8 +391,8 @@ void ChannelServer::SetupMuxPeer(Socket socket, FrameDecoder carry,
           // Opens run on a short-lived dedicated thread, NEVER the shared
           // executor: the opener on the other end may itself be an executor
           // task blocking on the ack, and on a small pool the two would
-          // starve each other (the same rule that puts per-channel
-          // handshakes on setup threads). ClosePeer waits these out via
+          // starve each other (the same rule that puts first-frame
+          // exchanges on setup threads). ClosePeer waits these out via
           // mux_opens_inflight; the shared_ptr keeps the peer alive for the
           // thread's tail.
           auto sp = weak.lock();
@@ -676,6 +571,7 @@ void ChannelServer::SetupServePeer(Socket socket, FrameDecoder carry,
   Peer* raw = peer.get();
   Connection::Options copts;
   copts.send_queue_frames = options_.send_queue_frames;
+  copts.loop = loop_;
   if (peer->is_client) {
     // Responses are tiny and clients pipeline: a deep send queue makes the
     // non-blocking response path lossless for any sane pipeline depth while
@@ -683,44 +579,26 @@ void ChannelServer::SetupServePeer(Socket socket, FrameDecoder carry,
     copts.send_queue_frames =
         std::max<size_t>(options_.send_queue_frames, 16384);
   }
-  PeerDispatch* dispatch = nullptr;
-  bool dispatch_first_after_install = false;
-  if (options_.mode == NetMode::kEventLoop) {
-    peer->dispatch = std::make_unique<PeerDispatch>(this, raw, executor_);
-    dispatch = peer->dispatch.get();
-    // Held until the peer is installed in peers_: a handler running off the
-    // first request would respond via SendToClient, which scans peers_ —
-    // dispatching before installation silently drops that response.
-    dispatch->Hold();
-    // The first request must keep wire order with whatever the carry decoder
-    // already buffered, so it goes through the dispatch before the
-    // Connection starts feeding it.
-    if (peer->is_client) {
-      dispatch->PushFrame(std::move(first));
-    }
-    copts.loop = loop_;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
-        [](const Status&) {
-          // Client/feed churn is routine; reaped on the next send/Stop.
-        },
-        std::move(carry));
-    dispatch->SetConnection(peer->conn.get());
-  } else {
-    // Threaded mode has no dispatch queue to hold, so the first request is
-    // dispatched after installation instead. A client awaits the response to
-    // its first request before pipelining (Connect is not acked otherwise),
-    // so the reader thread has nothing to reorder in front of it.
-    dispatch_first_after_install = peer->is_client;
-    peer->conn = std::make_unique<Connection>(
-        std::move(socket), copts,
-        [this, raw](Frame frame) {
-          DispatchPeerFrame(*raw, std::move(frame));
-        },
-        [](const Status&) {},
-        std::move(carry));
+  peer->dispatch = std::make_unique<PeerDispatch>(this, raw, executor_);
+  PeerDispatch* dispatch = peer->dispatch.get();
+  // Held until the peer is installed in peers_: a handler running off the
+  // first request would respond via SendToClient, which scans peers_ —
+  // dispatching before installation silently drops that response.
+  dispatch->Hold();
+  // The first request must keep wire order with whatever the carry decoder
+  // already buffered, so it goes through the dispatch before the Connection
+  // starts feeding it.
+  if (peer->is_client) {
+    dispatch->PushFrame(std::move(first));
   }
+  peer->conn = std::make_unique<Connection>(
+      std::move(socket), copts,
+      [dispatch](Frame frame) { dispatch->PushFrame(std::move(frame)); },
+      [](const Status&) {
+        // Client/feed churn is routine; reaped on the next send/Stop.
+      },
+      std::move(carry));
+  dispatch->SetConnection(peer->conn.get());
   {
     std::lock_guard<std::mutex> lock(peers_mutex_);
     if (!running_.load(std::memory_order_acquire)) {
@@ -730,14 +608,9 @@ void ChannelServer::SetupServePeer(Socket socket, FrameDecoder carry,
     ReapBrokenPeersLocked();
     peers_.push_back(peer);
   }
-  // Outside peers_mutex_: the released slice (or the inline dispatch) may
-  // call straight back into SendToClient.
-  if (dispatch != nullptr) {
-    dispatch->Release();
-  }
-  if (dispatch_first_after_install) {
-    DispatchPeerFrame(*raw, std::move(first));
-  }
+  // Outside peers_mutex_: the released slice may call straight back into
+  // SendToClient.
+  dispatch->Release();
 }
 
 void ChannelServer::ClosePeer(Peer& peer) {
@@ -785,39 +658,7 @@ void ChannelServer::ReapBrokenPeersLocked() {
 }
 
 void ChannelServer::Ack(uint64_t watermark) {
-  AckMsg msg;
-  msg.acked_ts = watermark;
-  auto payload = msg.Encode();
-  BinaryWriter frame;
-  EncodeFrame(frame, FrameType::kAck, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
-  std::lock_guard<std::mutex> lock(peers_mutex_);
-  ReapBrokenPeersLocked();
-  for (auto& peer : peers_) {
-    if (peer->is_member) {
-      continue;
-    }
-    if (peer->is_mux) {
-      // Coalesce: one frame carries every data stream's watermark.
-      MuxAckBatchMsg batch;
-      {
-        std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
-        for (auto& [id, stream] : peer->streams) {
-          if (!stream->is_member) {
-            batch.entries.push_back({id, watermark});
-          }
-        }
-      }
-      if (!batch.entries.empty()) {
-        (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
-                                       batch.Encode());
-      }
-      continue;
-    }
-    // Best-effort: a dropped ack is repaired by the watermark in the next
-    // handshake, so never block the checkpoint path on a wedged peer.
-    (void)peer->conn->TrySend(bytes);
-  }
+  AckStreams([watermark](const Handshake&) { return watermark; });
 }
 
 void ChannelServer::AckSource(uint32_t source_task, uint32_t source_instance,
@@ -829,68 +670,56 @@ void ChannelServer::AckSources(const std::vector<SourceAck>& acks) {
   if (acks.empty()) {
     return;
   }
-  // Pre-encode one kAck frame per source for the per-channel peers.
-  std::vector<std::vector<uint8_t>> frames;
-  frames.reserve(acks.size());
-  for (const auto& ack : acks) {
-    AckMsg msg;
-    msg.acked_ts = ack.watermark;
-    auto payload = msg.Encode();
-    BinaryWriter frame;
-    EncodeFrame(frame, FrameType::kAck, payload.data(), payload.size());
-    frames.push_back(frame.buffer());
-  }
+  AckStreams([&acks](const Handshake& hs) -> std::optional<uint64_t> {
+    for (const auto& ack : acks) {
+      if (hs.source_task == ack.source_task &&
+          hs.source_instance == ack.source_instance) {
+        return ack.watermark;
+      }
+    }
+    return std::nullopt;
+  });
+}
+
+void ChannelServer::AckStreams(
+    const std::function<std::optional<uint64_t>(const Handshake&)>&
+        watermark_of) {
   std::lock_guard<std::mutex> lock(peers_mutex_);
   ReapBrokenPeersLocked();
   for (auto& peer : peers_) {
-    if (peer->is_member) {
+    if (!peer->is_mux) {
       continue;
     }
-    if (peer->is_mux) {
-      // One coalesced frame per peer: every stream matching any acked
-      // source gets its watermark in the same kMuxAckBatch.
-      MuxAckBatchMsg batch;
-      {
-        std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
-        for (auto& [id, stream] : peer->streams) {
-          if (stream->is_member) {
-            continue;
-          }
-          for (const auto& ack : acks) {
-            if (stream->handshake.source_task == ack.source_task &&
-                stream->handshake.source_instance == ack.source_instance) {
-              batch.entries.push_back({id, ack.watermark});
-              break;
-            }
-          }
+    // One coalesced frame per peer carries every matching data stream's
+    // watermark.
+    MuxAckBatchMsg batch;
+    {
+      std::lock_guard<std::mutex> mux_lock(peer->mux_mu);
+      for (auto& [id, stream] : peer->streams) {
+        if (stream->is_member) {
+          continue;
+        }
+        if (auto w = watermark_of(stream->handshake)) {
+          batch.entries.push_back({id, *w});
         }
       }
-      if (!batch.entries.empty()) {
-        (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
-                                       batch.Encode());
-      }
-      continue;
     }
-    for (size_t i = 0; i < acks.size(); ++i) {
-      if (peer->handshake.source_task == acks[i].source_task &&
-          peer->handshake.source_instance == acks[i].source_instance) {
-        (void)peer->conn->TrySend(frames[i]);
-        break;  // a channel carries exactly one source
-      }
+    // Best-effort: a dropped ack is repaired by the watermark in the next
+    // open-ack, so never block the checkpoint path on a wedged peer.
+    if (!batch.entries.empty()) {
+      (void)peer->conn->TrySendFrame(FrameType::kMuxAckBatch, 0,
+                                     batch.Encode());
     }
   }
 }
 
 bool ChannelServer::SendToMember(uint32_t member_id, FrameType type,
                                  const std::vector<uint8_t>& payload) {
-  BinaryWriter frame;
-  EncodeFrame(frame, type, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
   std::lock_guard<std::mutex> lock(peers_mutex_);
   ReapBrokenPeersLocked();
   for (auto& peer : peers_) {
     if (peer->is_member && peer->member_id == member_id) {
-      return peer->conn->TrySend(bytes);
+      return peer->conn->TrySendFrame(type, 0, payload);
     }
   }
   return false;
@@ -906,15 +735,12 @@ void ChannelServer::SetServeHandlers(RequestFn on_request, FeedFn on_feed) {
 
 bool ChannelServer::SendToClient(uint64_t client_id,
                                  const std::vector<uint8_t>& payload) {
-  BinaryWriter frame;
-  EncodeFrame(frame, FrameType::kResponse, payload.data(), payload.size());
-  const std::vector<uint8_t>& bytes = frame.buffer();
   std::lock_guard<std::mutex> lock(peers_mutex_);
   for (auto& peer : peers_) {
     if (peer->is_client && peer->client_id == client_id) {
       // Non-blocking: a client that stops reading sheds its own responses
       // rather than wedging the flusher for everyone else.
-      return peer->conn->TrySend(bytes);
+      return peer->conn->TrySendFrame(FrameType::kResponse, 0, payload);
     }
   }
   return false;
@@ -936,13 +762,10 @@ void ChannelServer::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  if (options_.mode == NetMode::kEventLoop && loop_ != nullptr) {
+  if (loop_ != nullptr) {
     loop_->Deregister(listener_.fd());  // waits out an in-flight accept burst
   }
   listener_.Close();
-  if (acceptor_.joinable()) {
-    acceptor_.join();
-  }
   std::vector<std::thread> setups;
   std::list<std::shared_ptr<Peer>> peers;
   {

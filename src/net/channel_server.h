@@ -1,29 +1,36 @@
 // ChannelServer: the receiver half of inter-node dataflow edges over TCP.
 //
-// Listens on one port per node process. Each accepted connection performs the
-// synchronous handshake (the on_handshake callback validates the peer and
-// returns this node's durable watermark for that source), then streams kData
-// frames whose batches are handed to on_batch in wire order — typically
-// straight into Deployment::InjectRemote, which routes them through the same
-// batched dispatch as local traffic.
+// Listens on one port per node process. The first frame of an accepted
+// connection selects its role:
 //
-// Threading model (NetMode::kEventLoop, the default): the listening fd and
-// every peer socket live on one shared epoll loop; handshakes run on
-// short-lived setup threads (they block on the client, and the client side
-// may be an executor task — on a small pool, a handshake-as-task would be a
-// circular wait); and each peer owns a Schedulable dispatch entity — the
-// loop thread only enqueues raw frames, the executor decodes batches and
-// runs on_batch. When
-// a peer's frame backlog crosses a high watermark the server drops read
-// interest on that socket; the kernel receive buffer fills and TCP flow
-// control backpressures the sender — the wire-level equivalent of a full
-// mailbox. NetMode::kThreads keeps the original acceptor + setup-thread +
-// thread-per-connection design as a measured baseline.
+//  - kMuxHello: a data connection from one peer process. The server checks
+//    the protocol version and grants the per-stream window; after that every
+//    frame carries a stream id. Each kMuxOpen names one channel's identity
+//    (the Handshake): the on_handshake callback validates it and returns
+//    this node's durable watermark for that source, which the open-ack
+//    carries back. kData frames of the stream are decoded in wire order and
+//    handed to on_batch — typically straight into Deployment::InjectRemote,
+//    which routes them through the same batched dispatch as local traffic.
+//  - kJoin: a member's control channel (elastic membership).
+//  - kMigrateBegin: an inbound partition migration session.
+//  - kRequest / kReplicaSubscribe: a serve-path client or replica feed.
 //
-// Ack(watermark) broadcasts a kAck on every live connection after the node
-// has made the watermark durable (checkpoint persisted); senders trim their
-// upstream-backup logs on it. Acks are at-least-once: a lost ack is repaired
-// by the watermark carried in the next handshake.
+// Threading model: the listening fd and every peer socket live on the
+// shared epoll loop; first-frame exchanges run on short-lived setup threads
+// (they block on the client, and the client side may be an executor task —
+// on a small pool, a setup-as-task would be a circular wait); and each
+// stream, client and feed owns a Schedulable dispatch entity — the loop
+// thread only enqueues raw frames, the executor decodes and delivers. A
+// data stream's backlog is bounded by its credit window. A client or feed
+// peer whose frame backlog crosses a high watermark drops read interest on
+// its socket; the kernel receive buffer fills and TCP flow control
+// backpressures the sender — the wire-level equivalent of a full mailbox.
+//
+// Ack(watermark) sends every data stream its watermark after the node has
+// made it durable (checkpoint persisted), coalesced into one kMuxAckBatch
+// per peer; senders trim their upstream-backup logs on it. Acks are
+// at-least-once: a lost ack is repaired by the watermark carried in the
+// next open-ack.
 #ifndef SDG_NET_CHANNEL_SERVER_H_
 #define SDG_NET_CHANNEL_SERVER_H_
 
@@ -36,6 +43,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,18 +57,9 @@
 
 namespace sdg::net {
 
-enum class NetMode {
-  kEventLoop,  // shared epoll loop + executor dispatch (default)
-  kThreads,    // thread-per-connection baseline
-};
-
 struct ChannelServerOptions {
   uint16_t port = 0;  // 0 = ephemeral; see port()
   size_t send_queue_frames = 16;
-  NetMode mode = NetMode::kEventLoop;
-  // Event-loop mode collaborators; nullptr = the process-wide shared ones.
-  runtime::Executor* executor = nullptr;
-  EventLoop* loop = nullptr;
   // Initial flow-control window (frames in flight) granted to each logical
   // stream of a multiplexed peer. Bounds per-stream backlog on this side —
   // mux streams never pause the shared socket's read interest, so the
@@ -70,14 +69,13 @@ struct ChannelServerOptions {
 
 class ChannelServer : private EventLoop::Handler {
  public:
-  // Returns the durable watermark for the handshaking source (0 if never
-  // seen); an error Status rejects the connection with its message.
+  // Returns the durable watermark for the opening stream's source (0 if
+  // never seen); an error Status rejects the open with its message.
   using HandshakeFn = std::function<Result<uint64_t>(const Handshake& hs)>;
-  // One decoded batch, in wire order, from the connection identified by the
-  // handshake. Runs on the peer's executor entity (event-loop mode) or its
-  // reader thread (threaded mode); per-source FIFO order is preserved either
-  // way, and a slow on_batch backpressures that peer's wire without stalling
-  // others.
+  // One decoded batch, in wire order, from the stream identified by the
+  // handshake. Runs on the stream's executor entity; per-source FIFO order
+  // is preserved, and a slow on_batch backpressures that stream (through its
+  // credit window) without stalling its siblings.
   using BatchFn =
       std::function<void(const Handshake& hs,
                          std::vector<runtime::DataItem> items)>;
@@ -85,8 +83,9 @@ class ChannelServer : private EventLoop::Handler {
   // registered under (an error rejects the join with its message). The
   // connection then stays open as that member's control channel.
   using JoinFn = std::function<Result<uint32_t>(const JoinMsg& join)>;
-  // A control/reply frame arriving on a member's channel. Runs on the IO
-  // thread (event loop or reader), so it must not block — record and notify.
+  // A control/reply frame arriving on a member's channel (on the loop
+  // thread) or on a worker's reply stream (on that stream's executor
+  // entity). It must not block — record and notify.
   using MemberFrameFn = std::function<void(uint32_t member_id, Frame frame)>;
   // An inbound migration session (first frame kMigrateBegin). Takes ownership
   // of the socket plus the decoder carrying any bytes already read, and runs
@@ -120,15 +119,15 @@ class ChannelServer : private EventLoop::Handler {
   // Broadcasts the durable watermark to every live sender.
   void Ack(uint64_t watermark);
 
-  // Acks only the senders whose handshake matches (source_task,
-  // source_instance) — per-partition watermark spaces stay independent when
-  // each partition rides its own channel (or its own mux stream).
+  // Acks only the streams whose handshake matches (source_task,
+  // source_instance) — per-partition watermark spaces stay independent
+  // because each partition rides its own stream.
   void AckSource(uint32_t source_task, uint32_t source_instance,
                  uint64_t watermark);
 
-  // Batch variant: one call per checkpoint instead of one per source. For a
-  // multiplexed peer every matching stream's watermark is coalesced into a
-  // single kMuxAckBatch frame; per-channel peers get individual kAcks.
+  // Batch variant: one call per checkpoint instead of one per source. Every
+  // matching stream's watermark is coalesced into a single kMuxAckBatch
+  // frame per peer.
   struct SourceAck {
     uint32_t source_task = 0;
     uint32_t source_instance = 0;
@@ -155,8 +154,8 @@ class ChannelServer : private EventLoop::Handler {
   // sheds its own responses; the client-side timeout retries).
   bool SendToClient(uint64_t client_id, const std::vector<uint8_t>& payload);
 
-  // Stops accepting, closes every connection, waits out in-flight handshakes
-  // and dispatch slices.
+  // Stops accepting, closes every connection, waits out in-flight setups,
+  // stream opens and dispatch slices.
   void Stop();
 
   uint16_t port() const { return port_; }
@@ -172,10 +171,10 @@ class ChannelServer : private EventLoop::Handler {
   // read interest; draining below kResumeFrames resumes it.
   class PeerDispatch : public runtime::Schedulable {
    public:
-    // `wire_pause`: whether a deep backlog drops the socket's read interest.
-    // Off for mux streams — many streams share one socket, so one slow
-    // stream must not stop its siblings' reads; the per-stream credit
-    // window bounds the backlog instead. `on_consumed` (may be null) runs
+    // `wire_pause`: whether a deep backlog drops the socket's read interest
+    // (client and feed peers). Off for mux streams — many streams share one
+    // socket, so one slow stream must not stop its siblings' reads; the
+    // per-stream credit window bounds the backlog instead. `on_consumed` (may be null) runs
     // after each slice with the number of frames it dispatched — the mux
     // credit-grant hook.
     PeerDispatch(ChannelServer* server, Peer* peer,
@@ -215,13 +214,13 @@ class ChannelServer : private EventLoop::Handler {
   };
 
   struct Peer {
-    Handshake handshake;
-    std::unique_ptr<PeerDispatch> dispatch;  // event-loop mode only
-    std::unique_ptr<Connection> conn;
-    // Membership channel (kJoin) peers carry no data handshake; their frames
-    // route to on_member_ instead of the batch path. Also set on a mux reply
-    // stream (kind kMuxStreamReply) so its kResponse frames take the same
-    // route — off the member control connection, same handler.
+    Handshake handshake;  // data streams
+    std::unique_ptr<PeerDispatch> dispatch;  // streams, clients, feeds
+    std::unique_ptr<Connection> conn;        // every peer but a stream
+    // Membership channel (kJoin) peers route their frames to on_member_.
+    // Also set on a reply stream (kind kMuxStreamReply) so its kResponse
+    // frames take the same route — off the member control connection, same
+    // handler.
     bool is_member = false;
     uint32_t member_id = 0;
     // Serve-path roles (first frame kRequest / kReplicaSubscribe).
@@ -229,12 +228,12 @@ class ChannelServer : private EventLoop::Handler {
     uint64_t client_id = 0;
     bool is_feed = false;
     ReplicaSubscribeMsg subscribe;
-    // Mux parent (first frame kMuxHello): one shared socket carrying many
-    // logical streams. Each stream is a child Peer (conn == nullptr, framed
-    // through the parent) with its own dispatch entity and credit window.
-    // kMuxOpen is handled on a short-lived dedicated thread — never the
-    // shared executor, whose workers may be the very tasks blocking on the
-    // open-ack; ClosePeer waits out in-flight handlers via the counter.
+    // Data connection (first frame kMuxHello): one shared socket carrying
+    // many logical streams. Each stream is a child Peer (conn == nullptr,
+    // framed through the parent) with its own dispatch entity and credit
+    // window. kMuxOpen is handled on a short-lived dedicated thread — never
+    // the shared executor, whose workers may be the very tasks blocking on
+    // the open-ack; ClosePeer waits out in-flight handlers via the counter.
     bool is_mux = false;
     std::mutex mux_mu;  // guards streams/retired_streams/opens_inflight
     // The Connection constructor registers with the loop, so frames (and the
@@ -252,18 +251,21 @@ class ChannelServer : private EventLoop::Handler {
     uint32_t mux_consumed = 0;  // frames consumed since the last credit grant
   };
 
-  // Event-loop mode: listener readiness (accept until EAGAIN).
+  // Listener readiness (loop thread): accept until EAGAIN.
   void OnReadable() override;
 
-  void AcceptLoop();  // threaded mode
-  // Performs the handshake on a fresh socket and installs the peer; runs on
-  // a short-lived setup thread so a slow client cannot stall the acceptor
-  // (or, event-loop mode, the loop).
+  // Reads the first frame of a fresh socket and installs the peer its type
+  // selects; runs on a short-lived setup thread so a slow client cannot
+  // stall the loop.
   void SetupPeer(Socket socket);
   // Closes the connection, then drains the dispatch entity. Safe with or
   // without peers_mutex_ held (touches only the peer).
   void ClosePeer(Peer& peer);
   void ReapBrokenPeersLocked();
+  // Sends each data stream the watermark `watermark_of` returns for its
+  // handshake (none: skip the stream), one kMuxAckBatch per peer.
+  void AckStreams(const std::function<std::optional<uint64_t>(
+                      const Handshake&)>& watermark_of);
 
   // Installs a freshly joined member peer; runs on the setup thread.
   void SetupMember(Socket socket, FrameDecoder carry, const Frame& first);
@@ -279,8 +281,8 @@ class ChannelServer : private EventLoop::Handler {
   // first frame is re-dispatched through the peer's normal frame path so it
   // keeps wire order with whatever the carry decoder already buffered.
   void SetupServePeer(Socket socket, FrameDecoder carry, Frame first);
-  // Decodes and routes one frame for any peer kind (dispatch entity in
-  // event-loop mode, reader thread in threaded mode).
+  // Decodes and routes one frame for any dispatched peer kind (runs on the
+  // peer's dispatch entity).
   void DispatchPeerFrame(Peer& peer, Frame frame);
 
   const ChannelServerOptions options_;
@@ -294,7 +296,6 @@ class ChannelServer : private EventLoop::Handler {
 
   Listener listener_;
   uint16_t port_ = 0;
-  std::thread acceptor_;
   std::atomic<bool> running_{false};
   std::atomic<uint64_t> accepted_{0};
 

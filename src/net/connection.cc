@@ -21,28 +21,21 @@ Connection::Connection(Socket socket, Options options, FrameFn on_frame,
     : socket_(std::move(socket)),
       fd_(socket_.fd()),
       options_(options),
+      loop_(options.loop != nullptr ? options.loop : EventLoop::Shared()),
       on_frame_(std::move(on_frame)),
       on_error_(std::move(on_error)),
       decoder_(std::move(carry)),
       read_buf_(options.read_buffer_bytes < 512 ? 512
-                                                : options.read_buffer_bytes),
-      send_queue_(options.send_queue_frames < 1 ? 1
-                                                : options.send_queue_frames) {
+                                                : options.read_buffer_bytes) {
   if (options_.mux_frames) {
     decoder_.EnableMux();
   }
-  if (options_.loop != nullptr) {
-    Status s = socket_.SetNonBlocking(true);
-    if (s.ok()) {
-      s = options_.loop->Register(fd_, this, /*want_read=*/true,
-                                  /*want_write=*/false);
-    }
-    if (!s.ok()) {
-      Fail(s);
-    }
-  } else {
-    writer_ = std::thread([this] { WriterLoop(); });
-    reader_ = std::thread([this] { ReaderLoop(); });
+  Status s = socket_.SetNonBlocking(true);
+  if (s.ok()) {
+    s = loop_->Register(fd_, this, /*want_read=*/true, /*want_write=*/false);
+  }
+  if (!s.ok()) {
+    Fail(s);
   }
 }
 
@@ -62,9 +55,6 @@ bool Connection::EnqueueLocked(std::unique_lock<std::mutex>& lock,
       closed_.load(std::memory_order_acquire)) {
     return false;
   }
-  if (entry.size() == 0) {
-    return true;  // nothing to put on the wire
-  }
   send_q_.push_back(std::move(entry));
   // Inline flush from the caller's thread: on an idle socket the frame goes
   // straight to the kernel with no epoll round-trip (the small-batch latency
@@ -80,135 +70,51 @@ bool Connection::EnqueueLocked(std::unique_lock<std::mutex>& lock,
   return true;
 }
 
-bool Connection::Send(std::vector<uint8_t> frame_bytes) {
+bool Connection::Enqueue(FrameType type, uint32_t stream,
+                         std::vector<uint8_t> payload, bool may_block) {
   if (broken_.load(std::memory_order_acquire) ||
       closed_.load(std::memory_order_acquire)) {
     return false;
   }
-  if (options_.loop != nullptr) {
-    SendEntry entry;
-    entry.payload = std::move(frame_bytes);
-    std::unique_lock<std::mutex> lock(send_mu_);
-    return EnqueueLocked(lock, std::move(entry), /*may_block=*/true);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    ++pending_frames_;
-  }
-  if (!send_queue_.Push(std::move(frame_bytes))) {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    --pending_frames_;
-    flush_cv_.notify_all();
-    return false;
-  }
-  return true;
-}
-
-bool Connection::TrySend(const std::vector<uint8_t>& frame_bytes) {
-  if (broken_.load(std::memory_order_acquire) ||
-      closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  if (options_.loop != nullptr) {
-    SendEntry entry;
-    entry.payload = frame_bytes;
-    std::unique_lock<std::mutex> lock(send_mu_);
-    return EnqueueLocked(lock, std::move(entry), /*may_block=*/false);
-  }
-  {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    ++pending_frames_;
-  }
-  if (!send_queue_.TryPush(frame_bytes)) {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    --pending_frames_;
-    flush_cv_.notify_all();
-    return false;
-  }
-  return true;
+  SendEntry entry;
+  entry.header_len = static_cast<uint8_t>(EncodeFrameHeader(
+      entry.header, type, stream, payload.size(), options_.mux_frames));
+  entry.payload = std::move(payload);
+  std::unique_lock<std::mutex> lock(send_mu_);
+  return EnqueueLocked(lock, std::move(entry), may_block);
 }
 
 bool Connection::SendFrame(FrameType type, uint32_t stream,
                            std::vector<uint8_t> payload) {
-  if (broken_.load(std::memory_order_acquire) ||
-      closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  if (options_.loop != nullptr) {
-    SendEntry entry;
-    entry.header_len = static_cast<uint8_t>(EncodeFrameHeader(
-        entry.header, type, stream, payload.size(), options_.mux_frames));
-    entry.payload = std::move(payload);
-    std::unique_lock<std::mutex> lock(send_mu_);
-    return EnqueueLocked(lock, std::move(entry), /*may_block=*/true);
-  }
-  // Threaded mode keeps the copy-per-frame baseline path.
-  uint8_t header[16];
-  size_t hl =
-      EncodeFrameHeader(header, type, stream, payload.size(), options_.mux_frames);
-  std::vector<uint8_t> bytes;
-  bytes.reserve(hl + payload.size());
-  bytes.insert(bytes.end(), header, header + hl);
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return Send(std::move(bytes));
+  return Enqueue(type, stream, std::move(payload), /*may_block=*/true);
 }
 
 bool Connection::TrySendFrame(FrameType type, uint32_t stream,
                               const std::vector<uint8_t>& payload) {
-  if (broken_.load(std::memory_order_acquire) ||
-      closed_.load(std::memory_order_acquire)) {
-    return false;
-  }
-  if (options_.loop != nullptr) {
-    SendEntry entry;
-    entry.header_len = static_cast<uint8_t>(EncodeFrameHeader(
-        entry.header, type, stream, payload.size(), options_.mux_frames));
-    entry.payload = payload;
-    std::unique_lock<std::mutex> lock(send_mu_);
-    return EnqueueLocked(lock, std::move(entry), /*may_block=*/false);
-  }
-  uint8_t header[16];
-  size_t hl =
-      EncodeFrameHeader(header, type, stream, payload.size(), options_.mux_frames);
-  std::vector<uint8_t> bytes;
-  bytes.reserve(hl + payload.size());
-  bytes.insert(bytes.end(), header, header + hl);
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return TrySend(bytes);
+  return Enqueue(type, stream, payload, /*may_block=*/false);
 }
 
 void Connection::SetReadInterest(bool want_read) {
-  if (options_.loop == nullptr) {
-    return;
-  }
   std::lock_guard<std::mutex> lock(send_mu_);
   if (want_read_ == want_read || broken_.load(std::memory_order_acquire) ||
       closed_.load(std::memory_order_acquire)) {
     return;
   }
   want_read_ = want_read;
-  options_.loop->UpdateEvents(fd_, want_read_, write_armed_);
+  loop_->UpdateEvents(fd_, want_read_, write_armed_);
 }
 
 void Connection::Fail(const Status& status) {
   broken_.store(true, std::memory_order_release);
-  if (options_.loop != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(send_mu_);
-      send_q_.clear();
-      send_offset_ = 0;
-    }
-    send_cv_.notify_all();
-  } else {
-    // Drop queued frames and unblock Send callers; unacked items live on in
-    // the sender's OutputBuffer, so nothing is lost by discarding the queue.
-    size_t dropped = send_queue_.Abort();
-    {
-      std::lock_guard<std::mutex> lock(flush_mu_);
-      pending_frames_ -= dropped;
-    }
+  {
+    // Drop staged frames and unblock senders (and Close's drain wait);
+    // unacked items live on in the sender's OutputBuffer, so nothing is lost
+    // by discarding the queue.
+    std::lock_guard<std::mutex> lock(send_mu_);
+    send_q_.clear();
+    send_offset_ = 0;
   }
-  flush_cv_.notify_all();  // Close's drain wait also watches broken_
+  send_cv_.notify_all();
   socket_.ShutdownBoth();
   if (!error_fired_.exchange(true) && on_error_) {
     on_error_(status);
@@ -300,7 +206,7 @@ bool Connection::FlushLocked(std::unique_lock<std::mutex>& lock) {
   const bool want_write = !send_q_.empty();
   if (write_armed_ != want_write) {
     write_armed_ = want_write;
-    options_.loop->UpdateEvents(fd_, want_read_, want_write);
+    loop_->UpdateEvents(fd_, want_read_, want_write);
   }
   return true;
 }
@@ -316,84 +222,24 @@ void Connection::OnWritable() {
 
 void Connection::OnError() { Fail(UnavailableError("socket error (EPOLLERR)")); }
 
-void Connection::WriterLoop() {
-  for (;;) {
-    auto frame = send_queue_.Pop();
-    if (!frame.has_value()) {
-      return;  // closed (orderly) or aborted (failure)
-    }
-    Status s = socket_.WriteAll(frame->data(), frame->size());
-    {
-      std::lock_guard<std::mutex> lock(flush_mu_);
-      --pending_frames_;
-    }
-    flush_cv_.notify_all();
-    if (!s.ok()) {
-      Fail(s);
-      return;
-    }
-  }
-}
-
-void Connection::ReaderLoop() {
-  std::vector<uint8_t> buf(options_.read_buffer_bytes);
-  for (;;) {
-    auto n = socket_.ReadSome(buf.data(), buf.size());
-    if (!n.ok()) {
-      Fail(n.status());
-      return;
-    }
-    if (*n == 0) {
-      Fail(UnavailableError("peer closed the connection"));
-      return;
-    }
-    decoder_.Feed(buf.data(), *n);
-    DispatchDecoded();
-    if (broken_.load(std::memory_order_acquire)) {
-      return;
-    }
-  }
-}
-
 void Connection::Close() {
   if (closed_.exchange(true)) {
     return;
   }
-  if (options_.loop != nullptr) {
-    // Drain: let the loop flush frames Send already accepted. A broken link
-    // (or a peer that stopped reading, bounded by the deadline) skips ahead.
-    {
-      std::unique_lock<std::mutex> lock(send_mu_);
-      send_cv_.wait_for(lock, kCloseDrainDeadline, [&] {
-        return send_q_.empty() || broken_.load(std::memory_order_acquire);
-      });
-    }
-    send_cv_.notify_all();  // release Send callers blocked on capacity
-    options_.loop->Deregister(fd_);  // waits out any in-flight callback
-    broken_.store(true, std::memory_order_release);
-    socket_.ShutdownBoth();
-    socket_.Close();
-    return;
-  }
-  // Threaded mode: wait for the writer to put accepted frames on the wire
-  // before cutting — a sender that calls Close right after its last Send
-  // must not lose it. Failure paths (broken_) cut immediately, and the
-  // deadline bounds a peer that stopped reading.
+  // Drain: let the loop flush frames already accepted, so a sender that
+  // closes right after its last send still gets it onto the wire. A broken
+  // link (or a peer that stopped reading, bounded by the deadline) skips
+  // ahead.
   {
-    std::unique_lock<std::mutex> lock(flush_mu_);
-    flush_cv_.wait_for(lock, kCloseDrainDeadline, [&] {
-      return pending_frames_ == 0 || broken_.load(std::memory_order_acquire);
+    std::unique_lock<std::mutex> lock(send_mu_);
+    send_cv_.wait_for(lock, kCloseDrainDeadline, [&] {
+      return send_q_.empty() || broken_.load(std::memory_order_acquire);
     });
   }
+  send_cv_.notify_all();  // release senders blocked on capacity
+  loop_->Deregister(fd_);  // waits out any in-flight callback
   broken_.store(true, std::memory_order_release);
-  send_queue_.Abort();
   socket_.ShutdownBoth();
-  if (writer_.joinable()) {
-    writer_.join();
-  }
-  if (reader_.joinable()) {
-    reader_.join();
-  }
   socket_.Close();
 }
 

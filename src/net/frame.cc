@@ -93,8 +93,7 @@ Result<bool> FrameDecoder::Next(Frame* out) {
                            " exceeds limit");
     return poisoned_;
   }
-  if (type < static_cast<uint8_t>(FrameType::kHandshake) ||
-      type > kMaxFrameType) {
+  if (type < kMinFrameType || type > kMaxFrameType) {
     poisoned_ = FrameError("unknown frame type " + std::to_string(type));
     return poisoned_;
   }
@@ -106,51 +105,6 @@ Result<bool> FrameDecoder::Next(Frame* out) {
   out->payload.assign(p + header_bytes, p + header_bytes + length);
   consumed_ += header_bytes + length;
   return true;
-}
-
-// --- Handshake ----------------------------------------------------------------
-
-std::vector<uint8_t> Handshake::Encode() const {
-  BinaryWriter w;
-  w.Write<uint32_t>(protocol);
-  w.Write<uint64_t>(deployment_id);
-  w.Write<uint32_t>(source_task);
-  w.Write<uint32_t>(source_instance);
-  w.WriteString(entry);
-  w.Write<uint64_t>(emit_clock);
-  return std::move(w).TakeBuffer();
-}
-
-Result<Handshake> Handshake::Decode(const std::vector<uint8_t>& payload) {
-  BinaryReader r(payload);
-  Handshake h;
-  SDG_ASSIGN_OR_RETURN(h.protocol, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.deployment_id, r.Read<uint64_t>());
-  SDG_ASSIGN_OR_RETURN(h.source_task, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.source_instance, r.Read<uint32_t>());
-  SDG_ASSIGN_OR_RETURN(h.entry, r.ReadString());
-  SDG_ASSIGN_OR_RETURN(h.emit_clock, r.Read<uint64_t>());
-  SDG_RETURN_IF_ERROR(RequireAtEnd(r, "handshake"));
-  return h;
-}
-
-std::vector<uint8_t> HandshakeAck::Encode() const {
-  BinaryWriter w;
-  w.Write<uint8_t>(accepted ? 1 : 0);
-  w.Write<uint64_t>(acked_ts);
-  w.WriteString(message);
-  return std::move(w).TakeBuffer();
-}
-
-Result<HandshakeAck> HandshakeAck::Decode(const std::vector<uint8_t>& payload) {
-  BinaryReader r(payload);
-  HandshakeAck a;
-  SDG_ASSIGN_OR_RETURN(uint8_t accepted, r.Read<uint8_t>());
-  a.accepted = accepted != 0;
-  SDG_ASSIGN_OR_RETURN(a.acked_ts, r.Read<uint64_t>());
-  SDG_ASSIGN_OR_RETURN(a.message, r.ReadString());
-  SDG_RETURN_IF_ERROR(RequireAtEnd(r, "handshake-ack"));
-  return a;
 }
 
 // --- DataBatch ----------------------------------------------------------------

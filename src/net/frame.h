@@ -28,27 +28,25 @@
 namespace sdg::net {
 
 inline constexpr uint32_t kFrameMagic = 0x53444746;  // "SDGF"
-inline constexpr uint32_t kProtocolVersion = 1;
-// Protocol generation that understands multiplexed framing (kMuxHello and
-// the stream-id header below). Carried in MuxHelloMsg so a mux-capable
-// dialer and an old receiver fail the hello cleanly instead of desyncing;
-// v1 per-channel framing stays accepted everywhere.
-inline constexpr uint32_t kProtocolVersionMux = 2;
+// Wire generation, carried in every connection's first frame (kMuxHello,
+// kJoin, kReplicaSubscribe); a mismatch rejects the connection. Bump it on
+// any incompatible wire change.
+inline constexpr uint32_t kProtocolVersion = 2;
 // A frame carries at most one delivery batch; 64 MiB bounds decoder memory
 // against corrupt or hostile length fields.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 inline constexpr size_t kFrameHeaderBytes = 4 + 1 + 4;
 // Mux framing widens the header with a stream id between type and length:
 //   magic u32 | type u8 | stream u32 | length u32
-// Both sides switch to it after the kMuxHello/kMuxHelloAck exchange (which
-// itself rides v1 framing), so a connection is either all-v1 or all-mux.
+// A data connection switches to it after the kMuxHello/kMuxHelloAck
+// exchange (which itself rides the plain header). Control, migration,
+// client and replica-feed connections keep the plain header throughout.
 inline constexpr size_t kMuxFrameHeaderBytes = 4 + 1 + 4 + 4;
 
+// Values 1 and 2 are unassigned.
 enum class FrameType : uint8_t {
-  kHandshake = 1,     // sender -> receiver, once per connection
-  kHandshakeAck = 2,  // receiver -> sender, carries the acked watermark
-  kData = 3,          // batch of DataItems for the handshaken entry
-  kAck = 4,           // receiver -> sender: durable watermark advanced
+  kData = 3,  // batch of DataItems for the stream's entry
+  kAck = 4,   // receiver -> sender: durable watermark advanced
   // Membership (elastic scale-out): a fresh worker process registers with a
   // running deployment's head; the connection then stays open as the
   // member's control channel (kControl both ways).
@@ -74,23 +72,24 @@ enum class FrameType : uint8_t {
   // replicas (§3.2 partial state as the read-scaling path).
   kReplicaSubscribe = 14,  // worker -> gateway, once per connection
   kReplicaEpoch = 15,      // worker -> gateway: epoch announce/base/delta
-  // Multiplexed transport (one TCP socket per peer pair, many logical
-  // streams). The hello pair negotiates the switch to mux framing; every
-  // frame after it carries a stream id in the widened header.
-  kMuxHello = 16,     // dialer -> server, first frame, v1 framing
-  kMuxHelloAck = 17,  // server -> dialer, v1 framing; mux framing follows
+  // Data connections (one TCP socket per peer pair, many logical streams).
+  // The hello pair checks the protocol version and grants the stream
+  // window; every frame after it carries a stream id in the widened header.
+  kMuxHello = 16,     // dialer -> server, first frame, plain header
+  kMuxHelloAck = 17,  // server -> dialer, plain header; mux framing follows
   kMuxOpen = 18,      // dialer -> server: open one logical stream
   kMuxOpenAck = 19,   // server -> dialer: per-stream watermark + send window
   kMuxWindow = 20,    // server -> dialer: flow-control credit grant
   kMuxAckBatch = 21,  // server -> dialer: coalesced per-stream watermarks
 };
-// Highest type value FrameDecoder accepts; bump when appending frame types.
+// Type value range FrameDecoder accepts; bump the max when appending types.
+inline constexpr uint8_t kMinFrameType = static_cast<uint8_t>(FrameType::kData);
 inline constexpr uint8_t kMaxFrameType =
     static_cast<uint8_t>(FrameType::kMuxAckBatch);
 
 struct Frame {
   FrameType type = FrameType::kData;
-  // Logical stream the frame belongs to (mux framing only; 0 on v1 frames).
+  // Logical stream the frame belongs to (mux framing only; 0 otherwise).
   uint32_t stream = 0;
   std::vector<uint8_t> payload;
 };
@@ -142,32 +141,18 @@ class FrameDecoder {
 // Each message (de)serialises through BinaryWriter/BinaryReader; Decode
 // rejects truncated or trailing bytes with a Status.
 
-// Opens a channel: which deployment the sender belongs to, which TE instance
-// is talking (the remote SourceId downstream dedup keys on), which entry TE
-// of the receiving deployment the items are for, and the sender's emit-clock
-// position (diagnostics: the receiver can bound the replay window).
+// The identity of one data stream as the receiver sees it (built from the
+// stream's MuxOpenMsg; not a wire message itself): which deployment the
+// sender belongs to, which TE instance is talking (the remote SourceId
+// downstream dedup keys on), which entry TE of the receiving deployment the
+// items are for, and the sender's emit-clock position (diagnostics: the
+// receiver can bound the replay window).
 struct Handshake {
-  uint32_t protocol = kProtocolVersion;
   uint64_t deployment_id = 0;
   uint32_t source_task = 0;
   uint32_t source_instance = 0;
   std::string entry;
   uint64_t emit_clock = 0;
-
-  std::vector<uint8_t> Encode() const;
-  static Result<Handshake> Decode(const std::vector<uint8_t>& payload);
-};
-
-// Handshake reply. `acked_ts` is the receiver's durable watermark for this
-// source: the sender replays every logged entry past it (§5 as the
-// transport's reconnect path).
-struct HandshakeAck {
-  bool accepted = false;
-  uint64_t acked_ts = 0;
-  std::string message;  // reject reason
-
-  std::vector<uint8_t> Encode() const;
-  static Result<HandshakeAck> Decode(const std::vector<uint8_t>& payload);
 };
 
 // Batch of data items, in sender FIFO order.
@@ -249,7 +234,7 @@ struct MigrateChunkMsg {
 // serve this partition again. `watermarks` carries, per remote source
 // instance feeding this partition (one per head-side entry channel), the
 // highest timestamp reflected in the migrated state — the receiving worker
-// reports these on the next data handshakes so the head's output buffers
+// reports these on the next data stream opens so the head's output buffers
 // replay exactly the entries past them (the watermark handoff).
 struct SourceWatermark {
   uint32_t source_instance = 0;
@@ -369,19 +354,17 @@ struct ReplicaEpochMsg {
 
 // --- Mux messages -------------------------------------------------------------
 
-// First frame of a multiplexed connection (v1 framing). The protocol field
-// lets a future generation renegotiate; a server that predates mux poisons
-// its decoder on the unknown type and the dialer falls back to per-channel
-// connections.
+// First frame of a data connection (plain header). The server rejects a
+// protocol version other than its own.
 struct MuxHelloMsg {
-  uint32_t protocol = kProtocolVersionMux;
+  uint32_t protocol = kProtocolVersion;
   uint64_t deployment_id = 0;
 
   std::vector<uint8_t> Encode() const;
   static Result<MuxHelloMsg> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Reply, still v1-framed; both sides switch to mux framing after it.
+// Reply, still plain-framed; both sides switch to mux framing after it.
 // `window` is the initial per-stream send window (frames the dialer may have
 // in flight on one stream before credits are granted back).
 struct MuxHelloAckMsg {
@@ -393,9 +376,9 @@ struct MuxHelloAckMsg {
   static Result<MuxHelloAckMsg> Decode(const std::vector<uint8_t>& payload);
 };
 
-// Logical stream kinds. A data stream is one (entry, partition) channel: the
-// embedded handshake fields mean exactly what Handshake means on a dedicated
-// connection, and kData frames flow dialer -> server. A reply stream carries
+// Logical stream kinds. A data stream is one (entry, partition) channel: its
+// identity fields become the receiver's Handshake, and kData frames flow
+// dialer -> server. A reply stream carries
 // kResponse frames (strong-read results) worker -> head, off the membership
 // control channel.
 inline constexpr uint8_t kMuxStreamData = 1;
@@ -418,8 +401,9 @@ struct MuxOpenMsg {
 };
 
 // Per-stream open reply: the receiver's durable watermark for the stream's
-// source (the dialer replays its log past it, exactly the HandshakeAck
-// contract) and the stream's initial send window in frames.
+// source (the dialer replays every logged entry past it — §5 as the
+// transport's reconnect path) and the stream's initial send window in
+// frames.
 struct MuxOpenAckMsg {
   bool accepted = false;
   uint64_t acked_ts = 0;

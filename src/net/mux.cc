@@ -7,17 +7,12 @@ namespace sdg::net {
 
 Result<std::shared_ptr<MuxConnection>> MuxConnection::Dial(
     const std::string& host, uint16_t port, Options options) {
-  if (options.loop == nullptr) {
-    return InvalidArgumentError("mux requires an event loop");
-  }
   SDG_ASSIGN_OR_RETURN(Socket sock, Socket::Connect(host, port));
   sock.SetRecvTimeout(options.hello_timeout_ms);
   MuxHelloMsg hello;
   hello.deployment_id = options.deployment_id;
   SDG_RETURN_IF_ERROR(
       WriteFrameBlocking(sock, FrameType::kMuxHello, hello.Encode()));
-  // A v1-only receiver poisons its decoder on the unknown type and drops the
-  // socket — the read fails and the caller falls back to per-channel mode.
   FrameDecoder carry;
   SDG_ASSIGN_OR_RETURN(Frame reply, ReadFrameBlocking(sock, carry));
   if (reply.type != FrameType::kMuxHelloAck) {
@@ -32,7 +27,6 @@ Result<std::shared_ptr<MuxConnection>> MuxConnection::Dial(
   auto mux = std::shared_ptr<MuxConnection>(
       new MuxConnection(options, ack.window));
   Connection::Options copts;
-  copts.loop = options.loop;
   copts.mux_frames = true;
   copts.send_queue_frames = options.send_queue_frames;
   std::weak_ptr<MuxConnection> weak = mux;
@@ -93,7 +87,7 @@ Result<std::shared_ptr<MuxStream>> MuxConnection::OpenStream(
   if (!ack.accepted) {
     std::lock_guard<std::mutex> lock(mu_);
     streams_.erase(stream->id());
-    return UnavailableError("mux open rejected: " + ack.message);
+    return FailedPreconditionError("mux open rejected: " + ack.message);
   }
   stream->acked_ts_ = ack.acked_ts;
   stream->GrantCredits(ack.window == 0 ? default_window_ : ack.window);
@@ -232,8 +226,14 @@ void MuxStream::GrantCredits(uint32_t credits) {
   cv_.notify_all();
 }
 
+void MuxStream::Detach() {
+  std::lock_guard<std::mutex> lock(callback_mu_);
+  detached_ = true;
+}
+
 void MuxStream::OnFrame(Frame frame) {
-  if (on_frame_) {
+  std::lock_guard<std::mutex> lock(callback_mu_);
+  if (!detached_ && on_frame_) {
     on_frame_(std::move(frame));
   }
 }
@@ -247,7 +247,11 @@ void MuxStream::FailStream(const Status& status) {
     error_fired_ = true;
   }
   cv_.notify_all();
-  if (fire && on_error_) {
+  if (!fire) {
+    return;
+  }
+  std::lock_guard<std::mutex> lock(callback_mu_);
+  if (!detached_ && on_error_) {
     on_error_(status);
   }
 }

@@ -1,19 +1,20 @@
-// Client side of the multiplexed transport: one TCP socket per peer pair,
-// many logical streams.
+// Client side of the data transport: one TCP socket per peer pair, many
+// logical streams. This is the only way a data frame moves between
+// processes.
 //
 // A MuxConnection is dialled once per (host, port) peer and carries every
 // logical channel to that peer over a single Connection in mux framing
 // (13-byte headers with a stream id — see frame.h). The kMuxHello /
-// kMuxHelloAck exchange rides v1 framing, so a pre-mux receiver fails the
-// dial cleanly (it poisons on the unknown frame type and drops the socket)
-// and the caller falls back to a dedicated per-channel connection.
+// kMuxHelloAck preamble rides the plain header: the server checks the
+// protocol version and grants the per-stream window, then both sides switch
+// to mux framing.
 //
 // Streams are opened with kMuxOpen / kMuxOpenAck. A data stream carries the
-// exact Handshake identity of a per-channel connection, and its open-ack
-// returns the receiver's durable watermark — RemoteChannel replays its log
-// past it, the same §5 reconnect contract as a dedicated socket. A reply
-// stream carries kResponse frames (strong-read results) worker -> head, off
-// the membership control channel.
+// channel identity (the receiver's Handshake), and its open-ack returns the
+// receiver's durable watermark — RemoteChannel replays its log past it (§5
+// as the transport's reconnect path). A reply stream carries kResponse
+// frames (strong-read results) worker -> head, off the membership control
+// channel.
 //
 // Flow control is per-stream credit windows: the open-ack grants an initial
 // window in frames, each data-bearing frame spends one credit, and the
@@ -21,12 +22,12 @@
 // hot stream out of credits blocks only its own sender — the shared socket
 // keeps moving for its siblings. Cumulative acks arrive coalesced
 // (kMuxAckBatch, one frame for many streams) and are synthesized back into
-// per-stream kAck frames here, so stream consumers reuse the per-channel
-// frame handling unchanged.
+// per-stream kAck frames here, so stream consumers see one kAck per stream.
 //
 // All stream callbacks run on the event-loop thread (the Connection
 // contract). MuxConnection never repairs itself: when the shared socket
-// breaks, every stream fails, and the owner redials via MuxPool::Get.
+// breaks, every stream fails, and the owner redials via MuxPool::Get, which
+// drops the dead connection first.
 #ifndef SDG_NET_MUX_H_
 #define SDG_NET_MUX_H_
 
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "src/net/connection.h"
-#include "src/net/event_loop.h"
 #include "src/net/frame.h"
 #include "src/net/socket.h"
 
@@ -51,12 +51,10 @@ class MuxStream;
 class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
  public:
   struct Options {
-    // Event loop driving the shared socket (required — mux is epoll-only).
-    EventLoop* loop = nullptr;
     uint64_t deployment_id = 0;
-    // Staged-frame capacity of the shared socket. Larger than a dedicated
-    // connection's default because many streams share the buffer; per-stream
-    // fairness comes from the credit windows, not this bound.
+    // Staged-frame capacity of the shared socket. Larger than Connection's
+    // default because many streams share the buffer; per-stream fairness
+    // comes from the credit windows, not this bound.
     size_t send_queue_frames = 256;
     // Blocking-read timeout for the hello exchange.
     int hello_timeout_ms = 5000;
@@ -64,9 +62,8 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
     int open_timeout_ms = 10000;
   };
 
-  // Dials the peer and runs the hello exchange. Any failure (including a
-  // v1-only receiver dropping the socket on the unknown frame type) surfaces
-  // as a non-ok Result — the caller falls back to per-channel sockets.
+  // Dials the peer and runs the hello exchange. Any failure (peer down,
+  // version mismatch) surfaces as a non-ok Result; the caller retries.
   static Result<std::shared_ptr<MuxConnection>> Dial(const std::string& host,
                                                      uint16_t port,
                                                      Options options);
@@ -77,8 +74,9 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
 
   // Opens one logical stream, blocking until the server's open-ack (bounded
   // by open_timeout_ms). `on_frame` sees every server->client frame for the
-  // stream — kAck both direct and synthesized from kMuxAckBatch — on the
-  // loop thread. `on_error` fires once if the shared connection breaks.
+  // stream — kAck synthesized from kMuxAckBatch — on the loop thread.
+  // `on_error` fires once if the shared connection breaks. A rejected open
+  // returns kFailedPrecondition with the server's reason.
   Result<std::shared_ptr<MuxStream>> OpenStream(const MuxOpenMsg& open,
                                                 Connection::FrameFn on_frame,
                                                 Connection::ErrorFn on_error);
@@ -115,17 +113,22 @@ class MuxConnection : public std::enable_shared_from_this<MuxConnection> {
 
 // Handle for one logical stream. Senders on a single stream must serialize
 // themselves (frames interleave whole-frame across streams, FIFO within
-// one) — the same discipline as one Connection per channel.
+// one).
 class MuxStream {
  public:
   // Sends one data-bearing frame, blocking while the stream is out of
   // flow-control credits or the shared socket's staging buffer is full.
   // False when the connection broke — the caller's log keeps the frame
-  // replayable, exactly the Connection::Send contract.
+  // replayable, exactly the Connection::SendFrame contract.
   bool Send(FrameType type, std::vector<uint8_t> payload);
 
   // Best-effort variant: never waits for credits or buffer space.
   bool TrySend(FrameType type, const std::vector<uint8_t>& payload);
+
+  // Stops the stream's callbacks: once Detach returns, on_frame/on_error
+  // never run again (one already in flight has finished). Call it before
+  // the callbacks' owner goes away; never from inside one of them.
+  void Detach();
 
   uint32_t id() const { return id_; }
   // The receiver's durable watermark from the open-ack (data streams).
@@ -163,11 +166,17 @@ class MuxStream {
   uint64_t credits_ = 0;
   std::atomic<bool> broken_{false};  // also read lock-free by broken()
   bool error_fired_ = false;
+
+  // Held while a callback runs, so Detach can wait one out. The connection
+  // may still hold a strong ref to a stream whose owner has dropped it.
+  std::mutex callback_mu_;
+  bool detached_ = false;
 };
 
 // One shared MuxConnection per peer, keyed by host:port. Broken entries are
-// dropped and redialled on the next Get. Thread-safe; Get holds the pool
-// lock across a dial (peer dials are rare — flips and reconnects).
+// dropped and redialled on the next Get, so every channel to a restarted
+// peer lands back on one fresh socket. Thread-safe; Get holds the pool lock
+// across a dial (peer dials are rare — flips and reconnects).
 class MuxPool {
  public:
   explicit MuxPool(MuxConnection::Options base) : base_(base) {}

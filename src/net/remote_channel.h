@@ -4,32 +4,36 @@
 // (RouteEmits / InjectAll delivery groups) works unchanged whether the
 // destination TE instance is a local mailbox or a process away.
 //
+// A channel is one logical stream on its pool's shared per-peer socket (see
+// mux.h): the connection count to a peer is one regardless of the
+// (entry, partition) fan-out.
+//
 // Protocol (§5 as the transport's error path):
-//   1. Dial + handshake (deployment id, source TE id/instance, destination
-//      entry name, emit-clock). The HandshakeAck carries the receiver's
-//      durable watermark for this source.
+//   1. Open a stream carrying the channel identity (deployment id, source
+//      TE id/instance, destination entry name, emit-clock). The open-ack
+//      carries the receiver's durable watermark for this source.
 //   2. Every delivered item is appended to the attached OutputBuffer (the
 //      upstream-backup log) BEFORE it is framed, then sent as a kData batch
-//      through a bounded send queue (backpressure).
+//      under the stream's credit window (backpressure).
 //   3. kAck frames trim the log: entries at or below the watermark are
 //      durable at the receiver and will never be replayed.
 //   4. On connection loss, Deliver* transparently redials; after the fresh
-//      handshake the channel replays every logged entry past the receiver's
+//      open-ack the channel replays every logged entry past the receiver's
 //      acked watermark, marked replayed=true so downstream dedup applies.
 //
 // Thread safety: Deliver/DeliverAll may be called from one sender thread at a
-// time (the per-source FIFO contract); acks arrive on the connection's IO
-// thread (event loop or reader) and only touch the OutputBuffer, which locks
-// internally.
+// time (the per-source FIFO contract); acks arrive on the event-loop thread
+// and only touch the OutputBuffer, which locks internally.
 //
 // Repair runs on two tracks. Deliver* keeps the synchronous
 // reconnect-and-replay (the authoritative path — a caller with data in hand
-// always gets the full retry budget). Additionally, the moment a connection
-// reports broken, a background reconnect task is submitted to the executor:
-// one bounded round of redial attempts, so an idle sender's channel heals
-// before the next Deliver instead of paying the redial latency then. The
-// task never reschedules itself — a permanently-down receiver must not pin a
-// shared pool worker.
+// always gets the full retry budget). Additionally, the moment the stream
+// reports broken, one bounded round of redial attempts starts on a dedicated
+// thread, so a channel heals even when no new Deliver comes: a reader
+// blocked on data that only this channel's replay can deliver generates no
+// new sends. The round never runs on the shared executor — replay blocks on
+// credits the receiver grants through ITS executor, and an executor task
+// waiting on another executor's progress is how small pools deadlock.
 #ifndef SDG_NET_REMOTE_CHANNEL_H_
 #define SDG_NET_REMOTE_CHANNEL_H_
 
@@ -42,12 +46,9 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/net/connection.h"
-#include "src/net/event_loop.h"
 #include "src/net/frame.h"
 #include "src/net/mux.h"
 #include "src/runtime/delivery.h"
-#include "src/runtime/executor.h"
 #include "src/runtime/output_buffer.h"
 
 namespace sdg::net {
@@ -61,23 +62,12 @@ struct RemoteChannelOptions {
   uint32_t source_instance = 0;
   // Entry TE of the receiving deployment.
   std::string entry;
-  // Bounded send queue (frames) — the wire's backpressure window.
-  size_t send_queue_frames = 64;
   // Reconnect policy: attempts * backoff bounds how long a receiver restart
   // may take before Deliver* gives up and reports the channel broken.
   int reconnect_attempts = 100;
   int reconnect_backoff_ms = 100;
-  // Drive the socket from the shared epoll loop (default) or fall back to
-  // the thread-per-connection baseline.
-  bool use_event_loop = true;
-  EventLoop* loop = nullptr;  // nullptr = EventLoop::Shared() when enabled
-  // Runs the background reconnect task; nullptr = Executor::Shared().
-  runtime::Executor* executor = nullptr;
-  // When set, the channel rides a logical stream of the pool's shared
-  // per-peer socket instead of dialling its own connection — connection
-  // count to a peer becomes O(1) regardless of (entry, partition) fan-out.
-  // If the peer does not speak mux (old binary), the dial falls back to a
-  // dedicated socket transparently. Caller keeps ownership of the pool.
+  // Required: the pool whose shared per-peer socket carries this channel's
+  // stream. Caller keeps ownership; the pool must outlive the channel.
   MuxPool* mux = nullptr;
 };
 
@@ -90,7 +80,7 @@ class RemoteChannel final : public runtime::DeliveryTarget {
   RemoteChannel(RemoteChannelOptions options, runtime::OutputBuffer* log);
   ~RemoteChannel() override;
 
-  // Dials and handshakes; replays anything already in the log past the
+  // Opens the stream; replays anything already in the log past the
   // receiver's watermark (crash-restart of the *sender* process with a
   // restored log works the same as a reconnect).
   Status Connect();
@@ -110,41 +100,36 @@ class RemoteChannel final : public runtime::DeliveryTarget {
 
   uint64_t acked_watermark() const;
 
-  // Closes the connection without touching the log.
+  // Detaches from the shared socket without touching the log.
   void Close();
 
   bool connected() const;
 
  private:
-  // Dial + handshake + replay; called under send_mutex_. Tries the mux pool
-  // first (when configured), falling back to a dedicated socket.
+  // Opens a stream on the pool's per-peer socket and replays past the
+  // open-ack watermark; under send_mutex_.
   Status ConnectLocked();
-  // Opens a logical stream on the shared per-peer socket; under send_mutex_.
-  Status ConnectMuxLocked();
   // Replays everything logged past `acked_ts`; under send_mutex_.
   Status ReplayLocked(uint64_t acked_ts);
-  // Ensures a live connection, redialing with backoff; under send_mutex_.
+  // Ensures a live stream, redialing with backoff; under send_mutex_.
   Status EnsureConnectedLocked();
+  // Detaches and releases the stream (no callback into this channel runs
+  // after it); under send_mutex_.
+  void DropStreamLocked();
   // Frames and sends one batch; false on wire failure. Under send_mutex_.
   bool SendBatchLocked(const std::vector<runtime::DataItem>& items);
   void HandleFrame(Frame frame);
-  // Submits one bounded background reconnect round (dedup'd: at most one in
-  // flight). Called from the connection's on_error.
+  // Starts one bounded background reconnect round (dedup'd: at most one in
+  // flight). Called from the stream's on_error.
   void StartBackgroundReconnect();
-  // The mux round: all attempts on one dedicated thread (never the shared
-  // executor — see StartBackgroundReconnect for why).
-  void MuxBackgroundReconnect();
-  // One attempt of that round; re-submits itself (as a fresh executor task,
-  // releasing the worker in between) while the budget lasts.
-  void BackgroundReconnect(int attempt);
+  // The round itself: all attempts on one dedicated thread.
+  void BackgroundReconnect();
 
   const RemoteChannelOptions options_;
   runtime::OutputBuffer* const log_;
-  runtime::Executor* const executor_;
 
   mutable std::mutex send_mutex_;
-  std::unique_ptr<Connection> conn_;  // dedicated-socket mode
-  std::shared_ptr<MuxStream> stream_;  // mux mode (exactly one of the two)
+  std::shared_ptr<MuxStream> stream_;
   mutable std::mutex ack_mutex_;
   uint64_t acked_watermark_ = 0;
 

@@ -132,12 +132,9 @@ Status ElasticWorker::Start() {
         OnMigrationSession(std::move(socket), std::move(carry), begin);
       }));
 
-  if (options_.mux_replies) {
-    net::MuxConnection::Options mopts;
-    mopts.loop = net::EventLoop::Shared();
-    mopts.deployment_id = options_.deployment_id;
-    reply_pool_ = std::make_unique<net::MuxPool>(mopts);
-  }
+  net::MuxConnection::Options mopts;
+  mopts.deployment_id = options_.deployment_id;
+  reply_pool_ = std::make_unique<net::MuxPool>(mopts);
 
   // Strong-read reply path: forward these sinks' outputs to the head as
   // kResponse frames, keyed by the item's user_tag (the gateway's request
@@ -381,8 +378,8 @@ Status ElasticWorker::Checkpoint() {
     store_->PruneBefore(options_.member_id, epoch_);
   }
   // Ack outside the ingest lock: senders trim their logs; a lost ack is
-  // repaired by the next handshake's watermark. One batched call: a mux
-  // sender gets a single coalesced kMuxAckBatch frame for all its streams.
+  // repaired by the next stream open's watermark. One batched call: a sender
+  // gets a single coalesced kMuxAckBatch frame for all its streams.
   if (!acks.empty()) {
     std::vector<net::ChannelServer::SourceAck> batch;
     batch.reserve(acks.size());
@@ -510,23 +507,21 @@ bool ElasticWorker::SendControlToHead(const net::ControlMsg& msg) {
 }
 
 bool ElasticWorker::SendResponseToHead(const net::ResponseMsg& msg) {
-  if (options_.mux_replies) {
-    auto stream = ReplyStream();
-    if (stream != nullptr) {
-      // TrySend, not Send: this runs on the deployment's executor (sink
-      // output callback), and executor tasks must never block on mux
-      // credits — the head returns credits through its own executor, and on
-      // a small pool the two sides would starve each other. Out of credits
-      // (or a full staging buffer) falls back to the control channel.
-      if (stream->TrySend(net::FrameType::kResponse, msg.Encode())) {
-        return true;
-      }
-      if (stream->broken()) {
-        // Drop the cached handle; the next response reopens.
-        std::lock_guard<std::mutex> lock(reply_mutex_);
-        if (reply_stream_ == stream) {
-          reply_stream_.reset();
-        }
+  auto stream = ReplyStream();
+  if (stream != nullptr) {
+    // TrySend, not Send: this runs on the deployment's executor (sink output
+    // callback), and executor tasks must never block on stream credits —
+    // the head returns credits through its own executor, and on a small
+    // pool the two sides would starve each other. Out of credits (or a full
+    // staging buffer) falls back to the control channel.
+    if (stream->TrySend(net::FrameType::kResponse, msg.Encode())) {
+      return true;
+    }
+    if (stream->broken()) {
+      // Drop the cached handle; the next response reopens.
+      std::lock_guard<std::mutex> lock(reply_mutex_);
+      if (reply_stream_ == stream) {
+        reply_stream_.reset();
       }
     }
   }
@@ -548,15 +543,15 @@ std::shared_ptr<net::MuxStream> ElasticWorker::ReplyStream() {
   if (reply_pool_ == nullptr || !running_.load(std::memory_order_acquire)) {
     return nullptr;
   }
-  // Negative cache: a head that refused mux (old binary) or a failed open
-  // must not cost every subsequent response a fresh dial.
+  // Negative cache: a failed dial or open must not cost every subsequent
+  // response a fresh dial.
   const auto now = std::chrono::steady_clock::now();
   if (now < reply_retry_after_) {
     return nullptr;
   }
   auto conn = reply_pool_->Get(options_.head_host, options_.head_port);
   if (!conn.ok()) {
-    // Head predates mux (or is down) — the control channel carries replies.
+    // Head down — the control channel carries replies meanwhile.
     reply_retry_after_ = now + std::chrono::seconds(2);
     return nullptr;
   }
@@ -722,34 +717,37 @@ void ElasticWorker::HandleControl(net::Socket& socket,
       break;
     case net::kCtrlRelease: {
       // Abort/cleanup: drop the partition (and any durable claim on it).
-      std::scoped_lock op(op_mutex_);
       bool was_owned;
       {
-        std::lock_guard<std::mutex> ingest(ingest_mutex_);
-        was_owned = owned_.erase(msg.partition) > 0;
-        for (uint32_t ei = 0; ei < options_.entries.size(); ++ei) {
-          uint32_t si =
-              SourceInstanceOf(ei, msg.partition, options_.partitions);
-          received_.erase(si);
-          durable_.erase(si);
+        std::scoped_lock op(op_mutex_);
+        {
+          std::lock_guard<std::mutex> ingest(ingest_mutex_);
+          was_owned = owned_.erase(msg.partition) > 0;
+          for (uint32_t ei = 0; ei < options_.entries.size(); ++ei) {
+            uint32_t si =
+                SourceInstanceOf(ei, msg.partition, options_.partitions);
+            received_.erase(si);
+            durable_.erase(si);
+          }
+          auto* backend =
+              deployment_->StateInstance(options_.state, msg.partition);
+          if (backend != nullptr) {
+            backend->Clear();
+          }
         }
-        auto* backend =
-            deployment_->StateInstance(options_.state, msg.partition);
-        if (backend != nullptr) {
-          backend->Clear();
+        {
+          std::lock_guard<std::mutex> lock(outbound_mutex_);
+          if (outbound_ && outbound_->partition == msg.partition) {
+            outbound_.reset();
+          }
         }
-      }
-      {
-        std::lock_guard<std::mutex> lock(outbound_mutex_);
-        if (outbound_ && outbound_->partition == msg.partition) {
-          outbound_.reset();
+        if (!tails_.empty()) {
+          tails_[msg.partition]->Clear();
         }
-      }
-      if (!tails_.empty()) {
-        tails_[msg.partition]->Clear();
       }
       if (was_owned) {
-        (void)Checkpoint();  // make the release durable
+        // Make the release durable. Outside the op lock: Checkpoint takes it.
+        (void)Checkpoint();
       }
       break;
     }
@@ -1159,12 +1157,9 @@ Status ElasticHead::Start() {
     sopts.num_backup_nodes = options_.backup_nodes;
     store_ = std::make_unique<checkpoint::BackupStore>(std::move(sopts));
   }
-  if (options_.use_mux) {
-    net::MuxConnection::Options mopts;
-    mopts.loop = net::EventLoop::Shared();
-    mopts.deployment_id = options_.deployment_id;
-    mux_pool_ = std::make_unique<net::MuxPool>(mopts);
-  }
+  net::MuxConnection::Options mopts;
+  mopts.deployment_id = options_.deployment_id;
+  mux_pool_ = std::make_unique<net::MuxPool>(mopts);
   net::ChannelServerOptions nopts;
   nopts.port = options_.port;
   server_ = std::make_unique<net::ChannelServer>(std::move(nopts));
@@ -1437,7 +1432,7 @@ Status ElasticHead::FlipOwnerLocked(Part& part, uint32_t partition,
     copts.entry = options_.entries[ei];
     copts.reconnect_attempts = options_.channel_reconnect_attempts;
     copts.reconnect_backoff_ms = options_.channel_reconnect_backoff_ms;
-    copts.mux = mux_pool_.get();  // null when use_mux is off
+    copts.mux = mux_pool_.get();
     auto chan =
         std::make_shared<net::RemoteChannel>(copts, logs_[si].get());
     // Connect replays everything logged past the owner's durable watermark;

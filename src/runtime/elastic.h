@@ -24,8 +24,8 @@
 // compressed base epoch plus delta epochs through ChunkStreamWriter's
 // remote-sink mode; once prepared, the head pauses the partition's channels,
 // orders the cutover (drain + final delta under quiesce + watermark handoff
-// in kMigrateCommit), and flips routing to the target, whose data handshake
-// watermark makes the channels replay exactly the unacked suffix. The
+// in kMigrateCommit), and flips routing to the target, whose stream open-ack
+// watermarks make the channels replay exactly the unacked suffix. The
 // interval from pause to flipped-and-reconnected is the measured migration
 // pause. The same push session, driven by the head from a dead worker's
 // backup store, is the m-to-n recovery path: each lost partition is pushed
@@ -114,13 +114,11 @@ struct ElasticWorkerOptions {
   bool serve_feed = false;
   size_t feed_max_deltas = 8;
   // Sink TEs whose outputs are forwarded to the head as kResponse frames
-  // (request_id = the item's user_tag) — the strong-read reply path.
+  // (request_id = the item's user_tag) — the strong-read reply path. They
+  // ride a dedicated reply stream to the head, so bulk replies never queue
+  // behind (or ahead of) control traffic; the control channel carries a
+  // reply only while that stream is down or out of credits.
   std::vector<std::string> forward_sinks;
-  // Send those responses over a dedicated mux reply stream to the head
-  // instead of the membership control channel, so bulk replies never queue
-  // behind (or ahead of) control traffic. Falls back to the control channel
-  // when the head predates mux or the stream is down.
-  bool mux_replies = true;
 };
 
 class ElasticWorker {
@@ -188,12 +186,12 @@ class ElasticWorker {
   // Best-effort send on the current control connection (straggler escalation,
   // migrated-in notifications); false when not joined or the wire is broken.
   bool SendControlToHead(const net::ControlMsg& msg);
-  // Forwards one sink output to the head as a kResponse frame — over the mux
-  // reply stream when available (pipelined, off the control channel), else
-  // on the control channel (the pre-mux path).
+  // Forwards one sink output to the head as a kResponse frame — over the
+  // reply stream when it has credits (pipelined, off the control channel),
+  // else on the control channel.
   bool SendResponseToHead(const net::ResponseMsg& msg);
-  // Returns the cached reply stream, opening one if needed; null when the
-  // head does not speak mux (the caller falls back to the control channel).
+  // Returns the cached reply stream, opening one if needed; null while the
+  // head is unreachable (the caller uses the control channel).
   std::shared_ptr<net::MuxStream> ReplyStream();
 
   // Replica feed (serve_feed): connects to the head's gateway, replays the
@@ -234,14 +232,14 @@ class ElasticWorker {
   std::mutex ctrl_send_mutex_;
   net::Socket* ctrl_socket_ = nullptr;
 
-  // Mux reply path (mux_replies): a pooled connection to the head and one
-  // cached reply stream. A broken stream is dropped and reopened on the next
-  // response; while it is down, responses ride the control channel.
+  // Reply path: a pooled connection to the head and one cached reply
+  // stream. A broken stream is dropped and reopened on the next response;
+  // while it is down, responses ride the control channel.
   std::unique_ptr<net::MuxPool> reply_pool_;
   std::mutex reply_mutex_;
   std::shared_ptr<net::MuxStream> reply_stream_;
-  // Backoff after a failed dial/open (head predates mux or is down), so
-  // responses don't pay a fresh TCP connect each.
+  // Backoff after a failed dial/open (head down), so responses don't pay a
+  // fresh TCP connect each.
   std::chrono::steady_clock::time_point reply_retry_after_{};
 
   std::thread control_thread_;
@@ -291,11 +289,6 @@ struct ElasticHeadOptions {
   // bounds how long one Deliver blocks while a worker restarts).
   int channel_reconnect_attempts = 25;
   int channel_reconnect_backoff_ms = 40;
-  // Multiplex all data channels to a worker over one shared socket (the
-  // RemoteChannel mux mode). Off = one socket per (entry, partition), the
-  // pre-mux wire. Per-channel fallback still applies when a worker binary
-  // predates mux.
-  bool use_mux = true;
 };
 
 class ElasticHead {
@@ -434,8 +427,8 @@ class ElasticHead {
   const ElasticHeadOptions options_;
   std::unique_ptr<net::ChannelServer> server_;
   std::unique_ptr<checkpoint::BackupStore> store_;
-  // Shared per-worker sockets for the data channels (use_mux). Outlives the
-  // channels: Stop closes them first, then the pool.
+  // Shared per-worker sockets for the data channels. Outlives the channels:
+  // Stop closes them first, then the pool.
   std::unique_ptr<net::MuxPool> mux_pool_;
 
   mutable std::mutex members_mutex_;

@@ -49,17 +49,8 @@ inline uint16_t PickFreePort() {
   return port;
 }
 
-// Chaos runs exercise the multiplexed transport by default; SDG_CHAOS_MUX=0
-// flips the whole fleet (head data channels and worker reply streams) back to
-// one-socket-per-channel, so CI can cover both wire formats with one binary.
-inline bool ChaosMuxEnabled() {
-  const char* v = std::getenv("SDG_CHAOS_MUX");
-  return v == nullptr || std::string(v) != "0";
-}
-
 struct WorkerSpec {
   std::string app = "kv";  // kv | wordcount
-  bool mux = true;         // false appends --no-mux (per-channel replies)
   uint16_t head_port = 0;
   uint32_t member_id = 0;
   uint16_t data_port = 0;  // stable across respawns
@@ -94,9 +85,6 @@ inline pid_t SpawnElasticWorker(const std::string& binary,
   if (!spec.crash_at.empty()) {
     args.push_back("--crash-at");
     args.push_back(spec.crash_at);
-  }
-  if (!spec.mux) {
-    args.push_back("--no-mux");
   }
   if (spec.serve) {
     args.push_back("--serve");

@@ -1,6 +1,7 @@
-// Loopback integration tests of the TCP transport: RemoteChannel sender,
-// ChannelServer receiver, upstream-backup trim on acks, and the
-// kill/restart reconnect-replay path (§5 as the transport's error path).
+// Loopback integration tests of the TCP transport: RemoteChannel senders on
+// a MuxPool, ChannelServer receiver, upstream-backup trim on acks, the
+// kill/restart reconnect-replay path (§5 as the transport's error path), and
+// the read-interest backpressure of client peers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,8 @@
 
 #include "src/graph/sdg.h"
 #include "src/net/channel_server.h"
+#include "src/net/connection.h"
+#include "src/net/mux.h"
 #include "src/net/remote_channel.h"
 #include "src/runtime/cluster.h"
 
@@ -33,18 +36,19 @@ bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 10000) {
   return pred();
 }
 
-DataItem MakeItem(uint64_t ts) {
+DataItem MakeItem(uint64_t ts, uint32_t instance = 0) {
   DataItem item;
-  item.from = runtime::SourceId{runtime::kRemoteSourceTask, 0};
+  item.from = runtime::SourceId{runtime::kRemoteSourceTask, instance};
   item.ts = ts;
   item.payload = Tuple{Value(static_cast<int64_t>(ts))};
   return item;
 }
 
-std::vector<DataItem> MakeItems(uint64_t first_ts, uint64_t last_ts) {
+std::vector<DataItem> MakeItems(uint64_t first_ts, uint64_t last_ts,
+                                uint32_t instance = 0) {
   std::vector<DataItem> items;
   for (uint64_t ts = first_ts; ts <= last_ts; ++ts) {
-    items.push_back(MakeItem(ts));
+    items.push_back(MakeItem(ts, instance));
   }
   return items;
 }
@@ -64,10 +68,12 @@ TEST(ChannelTest, LoopbackDeliverAckTrim) {
                          })
                   .ok());
 
+  MuxPool pool(MuxConnection::Options{});
   OutputBuffer log;
   RemoteChannelOptions opts;
   opts.port = server.port();
   opts.entry = "t";
+  opts.mux = &pool;
   RemoteChannel chan(opts, &log);
   ASSERT_TRUE(chan.Connect().ok());
   ASSERT_TRUE(chan.connected());
@@ -98,53 +104,59 @@ TEST(ChannelTest, LoopbackDeliverAckTrim) {
   server.Stop();
 }
 
-// Regression test for the read-interest backpressure protocol: a slow
-// on_batch lets the per-peer frame backlog repeatedly cross the pause
-// watermark while the executor drains it back under the resume watermark,
-// cycling pause/resume many times. A stale interest update losing the race
-// (reads off while unpaused) wedges the peer permanently — the test then
-// times out with items missing.
+// Regression test for the read-interest backpressure protocol. Data streams
+// are bounded by their credit windows, but client (and feed) peers still
+// pause reads: a slow on_request lets the client's frame backlog repeatedly
+// cross the pause watermark while the executor drains it back under the
+// resume watermark, cycling pause/resume many times. A stale interest update
+// losing the race (reads off while unpaused) wedges the peer permanently —
+// the test then times out with requests missing.
 TEST(ChannelTest, BackpressurePauseResumeStress) {
-  constexpr uint64_t kItems = 4000;
+  constexpr uint64_t kRequests = 4000;
   std::atomic<uint64_t> received{0};
   std::atomic<bool> in_order{true};
-  uint64_t next_ts = 1;  // dispatch slices are serialized, no lock needed
+  uint64_t next_id = 1;  // dispatch slices are serialized, no lock needed
   ChannelServer server(ChannelServerOptions{});
   ASSERT_TRUE(server
                   .Start([](const Handshake&) { return uint64_t{0}; },
-                         [&](const Handshake&, std::vector<DataItem> items) {
-                           for (const auto& item : items) {
-                             if (item.ts != next_ts) {
-                               in_order.store(false);
-                             }
-                             ++next_ts;
-                           }
-                           uint64_t total =
-                               received.fetch_add(items.size()) + items.size();
-                           // Stall in bursts so the frame backlog climbs past
-                           // the pause watermark, then drains below resume.
-                           if (total % 64 < 8) {
-                             std::this_thread::sleep_for(
-                                 std::chrono::microseconds(200));
-                           }
-                         })
+                         [](const Handshake&, std::vector<DataItem>) {})
                   .ok());
+  server.SetServeHandlers(
+      [&](uint64_t, RequestMsg req) {
+        if (req.request_id != next_id) {
+          in_order.store(false);
+        }
+        ++next_id;
+        uint64_t total = received.fetch_add(1) + 1;
+        // Stall in bursts so the frame backlog climbs past the pause
+        // watermark, then drains below resume.
+        if (total % 64 < 8) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      },
+      /*on_feed=*/nullptr);
 
-  OutputBuffer log;
-  RemoteChannelOptions opts;
-  opts.port = server.port();
-  opts.entry = "t";
-  RemoteChannel chan(opts, &log);
-  ASSERT_TRUE(chan.Connect().ok());
-  for (uint64_t ts = 1; ts <= kItems; ++ts) {
-    ASSERT_TRUE(chan.Deliver(MakeItem(ts)));
+  // A raw pipelining client: blocking writes, so once the server stops
+  // reading, the kernel buffers fill and the writer stalls on TCP flow
+  // control until reads resume.
+  auto sock = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(sock.ok());
+  RequestMsg req;
+  req.op = kOpPut;
+  req.value = std::string(512, 'v');
+  for (uint64_t id = 1; id <= kRequests; ++id) {
+    req.request_id = id;
+    req.key = static_cast<int64_t>(id);
+    ASSERT_TRUE(WriteFrameBlocking(*sock, FrameType::kRequest, req.Encode())
+                    .ok())
+        << "request " << id;
   }
-  ASSERT_TRUE(WaitUntil([&] { return received.load() == kItems; }, 30000))
-      << "delivered " << received.load() << "/" << kItems
+  ASSERT_TRUE(WaitUntil([&] { return received.load() == kRequests; }, 30000))
+      << "delivered " << received.load() << "/" << kRequests
       << " — read interest likely wedged off";
   EXPECT_TRUE(in_order.load());
 
-  chan.Close();
+  sock->Close();
   server.Stop();
 }
 
@@ -158,96 +170,160 @@ TEST(ChannelTest, HandshakeRejectionSurfacesAsError) {
                       },
                       [](const Handshake&, std::vector<DataItem>) {})
                   .ok());
+  MuxPool pool(MuxConnection::Options{});
   OutputBuffer log;
   RemoteChannelOptions opts;
   opts.port = server.port();
   opts.entry = "nope";
+  opts.mux = &pool;
   opts.reconnect_attempts = 2;
   opts.reconnect_backoff_ms = 10;
   RemoteChannel chan(opts, &log);
+  // The rejection arrives in the stream's kMuxOpenAck.
   Status s = chan.Connect();
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(s.message().find("unknown entry 'nope'"), std::string::npos)
+      << s.ToString();
+  EXPECT_FALSE(chan.connected());
   server.Stop();
 }
 
+// Several channels share one pooled socket, each acked to its own
+// watermark, then the receiver dies. After a restart on the same port, every
+// channel must be back on ONE fresh socket (the pool drops the dead
+// connection and redials once) and replay exactly its unacked suffix,
+// marked replayed, with nothing at or below its watermark resent.
 TEST(ChannelTest, ServerRestartReplaysExactlyTheUnacked) {
-  // Receiver half 1: sees ts 1..10, makes 1..5 durable, then dies.
+  constexpr uint32_t kChannels = 4;
+  // Channel i is durable up to ts 3 + i of the 10 it sent.
+  auto watermark_of = [](uint32_t instance) { return uint64_t{3} + instance; };
+
+  // Receiver half 1: sees ts 1..10 on every channel, then dies.
   std::mutex mu;
-  std::set<uint64_t> seen1;
+  std::vector<std::set<uint64_t>> seen1(kChannels);
   auto server1 = std::make_unique<ChannelServer>(ChannelServerOptions{});
   ASSERT_TRUE(server1
                   ->Start([](const Handshake&) { return uint64_t{0}; },
-                          [&](const Handshake&, std::vector<DataItem> items) {
+                          [&](const Handshake& hs, std::vector<DataItem> items) {
                             std::lock_guard<std::mutex> lock(mu);
                             for (const auto& item : items) {
-                              seen1.insert(item.ts);
+                              seen1[hs.source_instance].insert(item.ts);
                             }
                           })
                   .ok());
   uint16_t port = server1->port();
 
-  OutputBuffer log;
-  RemoteChannelOptions opts;
-  opts.port = port;
-  opts.entry = "t";
-  opts.reconnect_backoff_ms = 20;
-  RemoteChannel chan(opts, &log);
-  ASSERT_TRUE(chan.Connect().ok());
-  EXPECT_EQ(chan.DeliverAll(MakeItems(1, 10)), 10u);
+  MuxPool pool(MuxConnection::Options{});
+  std::vector<std::unique_ptr<OutputBuffer>> logs;
+  std::vector<std::unique_ptr<RemoteChannel>> chans;
+  for (uint32_t i = 0; i < kChannels; ++i) {
+    RemoteChannelOptions opts;
+    opts.port = port;
+    opts.entry = "t";
+    opts.source_instance = i;
+    opts.reconnect_backoff_ms = 20;
+    opts.mux = &pool;
+    logs.push_back(std::make_unique<OutputBuffer>());
+    chans.push_back(std::make_unique<RemoteChannel>(opts, logs.back().get()));
+    ASSERT_TRUE(chans.back()->Connect().ok());
+  }
+  EXPECT_EQ(server1->connections_accepted(), 1u);
+  for (uint32_t i = 0; i < kChannels; ++i) {
+    EXPECT_EQ(chans[i]->DeliverAll(MakeItems(1, 10, i)), 10u);
+  }
   ASSERT_TRUE(WaitUntil([&] {
     std::lock_guard<std::mutex> lock(mu);
-    return seen1.size() == 10;
+    for (const auto& seen : seen1) {
+      if (seen.size() != 10) {
+        return false;
+      }
+    }
+    return true;
   }));
-  server1->Ack(5);  // only 1..5 durable before the crash
-  ASSERT_TRUE(WaitUntil([&] { return chan.UnackedCount() == 5; }));
+  std::vector<ChannelServer::SourceAck> acks;
+  for (uint32_t i = 0; i < kChannels; ++i) {
+    acks.push_back({runtime::kRemoteSourceTask, i, watermark_of(i)});
+  }
+  server1->AckSources(acks);
+  for (uint32_t i = 0; i < kChannels; ++i) {
+    ASSERT_TRUE(WaitUntil(
+        [&] { return chans[i]->UnackedCount() == 10 - watermark_of(i); }));
+  }
 
-  // Kill the receiver; the sender must notice the broken wire.
+  // Kill the receiver; every sender must notice the broken wire.
   server1->Stop();
   server1.reset();
-  ASSERT_TRUE(WaitUntil([&] { return !chan.connected(); }));
+  for (auto& chan : chans) {
+    ASSERT_TRUE(WaitUntil([&] { return !chan->connected(); }));
+  }
 
-  // Receiver half 2 on the SAME port, restored to watermark 5. It must see
-  // the unacked 6..10 again (replayed) plus the new 11..20 — and nothing at
-  // or below its watermark.
-  std::set<uint64_t> seen2;
-  std::atomic<int> replayed_count{0};
+  // Receiver half 2 on the SAME port, restored to the per-channel
+  // watermarks. It must see each channel's unacked suffix again (replayed)
+  // plus the new 11..20 — and nothing at or below the channel's watermark.
+  std::vector<std::set<uint64_t>> seen2(kChannels);
+  std::vector<int> replayed(kChannels, 0);
   ChannelServerOptions opts2;
   opts2.port = port;
   ChannelServer server2(opts2);
   ASSERT_TRUE(server2
-                  .Start([](const Handshake&) { return uint64_t{5}; },
-                         [&](const Handshake&, std::vector<DataItem> items) {
-                           std::lock_guard<std::mutex> lock(mu);
-                           for (const auto& item : items) {
-                             EXPECT_GT(item.ts, 5u) << "acked item re-sent";
-                             if (item.replayed) {
-                               replayed_count.fetch_add(1);
-                             }
-                             seen2.insert(item.ts);
-                           }
-                         })
+                  .Start(
+                      [&](const Handshake& hs) {
+                        return watermark_of(hs.source_instance);
+                      },
+                      [&](const Handshake& hs, std::vector<DataItem> items) {
+                        std::lock_guard<std::mutex> lock(mu);
+                        const uint32_t i = hs.source_instance;
+                        for (const auto& item : items) {
+                          EXPECT_GT(item.ts, watermark_of(i))
+                              << "channel " << i << " re-sent an acked item";
+                          if (item.replayed) {
+                            ++replayed[i];
+                          }
+                          seen2[i].insert(item.ts);
+                        }
+                      })
                   .ok());
 
-  // Delivering through the broken channel reconnects, replays 6..10, then
-  // sends the new batch.
-  EXPECT_EQ(chan.DeliverAll(MakeItems(11, 20)), 10u);
+  // Delivering through a broken channel reconnects (unless the background
+  // repair already did), replays the unacked suffix, then sends the new
+  // batch.
+  for (uint32_t i = 0; i < kChannels; ++i) {
+    EXPECT_EQ(chans[i]->DeliverAll(MakeItems(11, 20, i)), 10u);
+  }
   ASSERT_TRUE(WaitUntil([&] {
     std::lock_guard<std::mutex> lock(mu);
-    return seen2.size() == 15;
+    for (uint32_t i = 0; i < kChannels; ++i) {
+      if (seen2[i].size() != 20 - watermark_of(i)) {
+        return false;
+      }
+    }
+    return true;
   }));
   {
     std::lock_guard<std::mutex> lock(mu);
-    for (uint64_t ts = 6; ts <= 20; ++ts) {
-      EXPECT_TRUE(seen2.count(ts)) << "lost item ts=" << ts;
+    for (uint32_t i = 0; i < kChannels; ++i) {
+      for (uint64_t ts = watermark_of(i) + 1; ts <= 20; ++ts) {
+        EXPECT_TRUE(seen2[i].count(ts))
+            << "channel " << i << " lost item ts=" << ts;
+      }
+      EXPECT_EQ(replayed[i], static_cast<int>(10 - watermark_of(i)))
+          << "channel " << i << " replay was not exactly its unacked suffix";
     }
   }
-  EXPECT_EQ(replayed_count.load(), 5) << "replay set was not exactly 6..10";
+  // Every channel is back on one shared socket.
+  for (auto& chan : chans) {
+    EXPECT_TRUE(chan->connected());
+  }
+  EXPECT_EQ(server2.connections_accepted(), 1u);
 
   // The union of both incarnations covers every item ever sent.
   server2.Ack(20);
-  ASSERT_TRUE(WaitUntil([&] { return chan.UnackedCount() == 0; }));
-  chan.Close();
+  for (auto& chan : chans) {
+    ASSERT_TRUE(WaitUntil([&] { return chan->UnackedCount() == 0; }));
+    chan->Close();
+  }
+  pool.CloseAll();
   server2.Stop();
 }
 
@@ -277,10 +353,12 @@ TEST(ChannelTest, InjectRemoteFeedsDeployment) {
                          })
                   .ok());
 
+  MuxPool pool(MuxConnection::Options{});
   OutputBuffer log;
   RemoteChannelOptions opts;
   opts.port = server.port();
   opts.entry = "t";
+  opts.mux = &pool;
   RemoteChannel chan(opts, &log);
   ASSERT_TRUE(chan.Connect().ok());
   constexpr int64_t kN = 200;

@@ -171,19 +171,17 @@ TEST(EventLoopTest, DeregisterWaitsOutInFlightCallback) {
 }
 
 // ---------------------------------------------------------------------------
-// Connection Close() drain: Send N frames, Close immediately, receiver must
-// get all N (the writer/loop flushes what it already accepted).
+// Connection Close() drain: send N frames, Close immediately, receiver must
+// get all N (the loop flushes what it already accepted).
 
-std::vector<uint8_t> MakeFrameBytes(uint32_t seq, size_t payload_bytes) {
+std::vector<uint8_t> MakePayload(uint32_t seq, size_t payload_bytes) {
   std::vector<uint8_t> payload(payload_bytes, static_cast<uint8_t>(seq));
   payload[0] = static_cast<uint8_t>(seq >> 0);
   payload[1] = static_cast<uint8_t>(seq >> 8);
-  BinaryWriter frame(kFrameHeaderBytes + payload.size());
-  EncodeFrame(frame, FrameType::kData, payload.data(), payload.size());
-  return std::move(frame).TakeBuffer();
+  return payload;
 }
 
-void CloseDrainTest(bool use_event_loop) {
+TEST(ConnectionCloseDrainTest, EventLoopMode) {
   constexpr uint32_t kFrames = 200;
   constexpr size_t kPayloadBytes = 512;
 
@@ -213,9 +211,6 @@ void CloseDrainTest(bool use_event_loop) {
   ASSERT_TRUE(sock.ok());
   Connection::Options copts;
   copts.send_queue_frames = 32;
-  if (use_event_loop) {
-    copts.loop = EventLoop::Shared();
-  }
   // on_error may legitimately fire if the receiver closes its end (EOF) the
   // instant it has read the last frame, so it is not asserted on here — the
   // drain guarantee is about frame delivery, not about outliving the peer.
@@ -223,7 +218,9 @@ void CloseDrainTest(bool use_event_loop) {
       std::move(*sock), copts, [](Frame) {}, [](const Status&) {});
 
   for (uint32_t i = 0; i < kFrames; ++i) {
-    ASSERT_TRUE(conn->Send(MakeFrameBytes(i, kPayloadBytes))) << "frame " << i;
+    ASSERT_TRUE(conn->SendFrame(FrameType::kData, 0,
+                                MakePayload(i, kPayloadBytes)))
+        << "frame " << i;
   }
   // Stop immediately: everything Send() accepted must still hit the wire.
   conn->Close();
@@ -231,14 +228,6 @@ void CloseDrainTest(bool use_event_loop) {
   receiver.join();
   EXPECT_EQ(received.load(), kFrames);
   EXPECT_TRUE(in_order.load());
-}
-
-TEST(ConnectionCloseDrainTest, EventLoopMode) {
-  CloseDrainTest(/*use_event_loop=*/true);
-}
-
-TEST(ConnectionCloseDrainTest, ThreadedMode) {
-  CloseDrainTest(/*use_event_loop=*/false);
 }
 
 }  // namespace

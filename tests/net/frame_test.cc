@@ -162,41 +162,6 @@ TEST(FrameCodecTest, RandomSplitFeedDecodesEveryFrame) {
   EXPECT_EQ(dec.buffered_bytes(), 0u);
 }
 
-TEST(FrameMessageTest, HandshakeRoundTrip) {
-  Handshake hs;
-  hs.deployment_id = 0xDEADBEEF12345678ull;
-  hs.source_task = 11;
-  hs.source_instance = 2;
-  hs.entry = "line";
-  hs.emit_clock = 991;
-  auto decoded = Handshake::Decode(hs.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->protocol, kProtocolVersion);
-  EXPECT_EQ(decoded->deployment_id, hs.deployment_id);
-  EXPECT_EQ(decoded->source_task, 11u);
-  EXPECT_EQ(decoded->source_instance, 2u);
-  EXPECT_EQ(decoded->entry, "line");
-  EXPECT_EQ(decoded->emit_clock, 991u);
-}
-
-TEST(FrameMessageTest, HandshakeAckRoundTrip) {
-  HandshakeAck ack;
-  ack.accepted = true;
-  ack.acked_ts = 77;
-  auto decoded = HandshakeAck::Decode(ack.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->accepted);
-  EXPECT_EQ(decoded->acked_ts, 77u);
-
-  HandshakeAck nak;
-  nak.accepted = false;
-  nak.message = "wrong protocol";
-  auto d2 = HandshakeAck::Decode(nak.Encode());
-  ASSERT_TRUE(d2.ok());
-  EXPECT_FALSE(d2->accepted);
-  EXPECT_EQ(d2->message, "wrong protocol");
-}
-
 TEST(FrameMessageTest, DataBatchRoundTrip) {
   DataBatch batch;
   for (uint64_t ts = 1; ts <= 5; ++ts) {
@@ -219,12 +184,12 @@ TEST(FrameMessageTest, DataBatchRoundTrip) {
 }
 
 TEST(FrameMessageTest, TruncatedMessagesRejected) {
-  Handshake hs;
-  hs.entry = "counts";
-  auto bytes = hs.Encode();
+  JoinMsg join;
+  join.host = "counts";
+  auto bytes = join.Encode();
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<uint8_t> partial(bytes.begin(), bytes.begin() + cut);
-    EXPECT_FALSE(Handshake::Decode(partial).ok()) << "cut at " << cut;
+    EXPECT_FALSE(JoinMsg::Decode(partial).ok()) << "cut at " << cut;
   }
   DataBatch batch;
   batch.items.push_back(MakeItem(1));

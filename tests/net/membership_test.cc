@@ -5,6 +5,7 @@
 // multi-process chaos harness (tests/harness/chaos_process_test.cc).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -395,6 +396,57 @@ TEST_F(ElasticFixture, RestartReplaysUnackedSuffix) {
   EXPECT_EQ(MergedState({w1b.get()}), model);
 
   w1b->Stop();
+  head.Stop();
+}
+
+// A worker restarted from an epoch cut before it migrated a partition out
+// still claims that partition, so a migration back to it is rejected. The
+// head's release of that stale claim must leave the worker live: releasing
+// an owned partition checkpoints the release, and doing so while still
+// holding the op lock self-deadlocked the worker's control loop (no more
+// checkpoints, so its streams were never acked again).
+TEST_F(ElasticFixture, ReleaseOfStaleClaimKeepsWorkerLive) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  auto w2 = MakeWorker(2, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  uint32_t part = kPartitions;
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    if (head.OwnerOf(p) == 2) {
+      part = p;
+      break;
+    }
+  }
+  ASSERT_NE(part, kPartitions) << "w2 was assigned nothing";
+  ASSERT_TRUE(head.CheckpointAll().ok());  // w2's durable epoch claims `part`
+  ASSERT_TRUE(head.MigratePartition(part, 1).ok());
+
+  // Restart w2 before it cuts another epoch: it restores the stale claim.
+  const uint16_t data_port = w2->data_port();
+  w2->Stop();
+  w2 = MakeWorker(2, head.port(), data_port);
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  auto owned = w2->OwnedPartitions();
+  ASSERT_NE(std::find(owned.begin(), owned.end(), part), owned.end())
+      << "restart did not restore the stale claim; the scenario is gone";
+
+  EXPECT_FALSE(head.MigratePartition(part, 2).ok());
+  // The abort released the claim; the worker still answers checkpoints, and
+  // the partition can now move to it.
+  ASSERT_TRUE(head.CheckpointAll(10000).ok()) << "worker wedged by release";
+  owned = w2->OwnedPartitions();
+  EXPECT_EQ(std::find(owned.begin(), owned.end(), part), owned.end());
+  ASSERT_TRUE(head.MigratePartition(part, 2).ok());
+  EXPECT_EQ(head.OwnerOf(part), 2u);
+
+  w2->Stop();
+  w1->Stop();
   head.Stop();
 }
 

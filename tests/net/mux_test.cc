@@ -18,7 +18,6 @@
 
 #include "src/common/rng.h"
 #include "src/net/channel_server.h"
-#include "src/net/event_loop.h"
 #include "src/net/frame.h"
 #include "src/net/mux.h"
 #include "src/net/remote_channel.h"
@@ -62,7 +61,7 @@ std::vector<DataItem> MakeItems(uint64_t first_ts, uint64_t last_ts,
 
 TEST(MuxCodecTest, HelloRoundTrip) {
   MuxHelloMsg m;
-  m.protocol = kProtocolVersionMux;
+  m.protocol = kProtocolVersion;
   m.deployment_id = 0xdeadbeefcafe;
   auto decoded = MuxHelloMsg::Decode(m.Encode());
   ASSERT_TRUE(decoded.ok());
@@ -288,9 +287,7 @@ TEST(MuxFlowControlTest, HotStreamCannotStarveColdSibling) {
   // Hot progress at the moment the cold stream completed (sentinel ~0).
   std::atomic<uint64_t> hot_at_cold_done{~0ull};
 
-  ChannelServerOptions sopts;
-  sopts.mode = NetMode::kEventLoop;
-  ChannelServer server(sopts);
+  ChannelServer server(ChannelServerOptions{});
   ASSERT_TRUE(
       server
           .Start([](const Handshake&) { return uint64_t{0}; },
@@ -311,9 +308,7 @@ TEST(MuxFlowControlTest, HotStreamCannotStarveColdSibling) {
                  })
           .ok());
 
-  MuxConnection::Options mopts;
-  mopts.loop = EventLoop::Shared();
-  MuxPool pool(mopts);
+  MuxPool pool(MuxConnection::Options{});
 
   auto make_channel = [&](uint32_t instance, OutputBuffer* log) {
     RemoteChannelOptions opts;
@@ -374,9 +369,7 @@ TEST(MuxFlowControlTest, HotStreamCannotStarveColdSibling) {
 TEST(MuxReconnectTest, ReplayHonorsPerStreamWatermarks) {
   std::mutex mu;
   std::set<uint64_t> seen_a1, seen_b1;
-  ChannelServerOptions sopts;
-  sopts.mode = NetMode::kEventLoop;
-  auto server1 = std::make_unique<ChannelServer>(sopts);
+  auto server1 = std::make_unique<ChannelServer>(ChannelServerOptions{});
   ASSERT_TRUE(
       server1
           ->Start([](const Handshake&) { return uint64_t{0}; },
@@ -390,9 +383,7 @@ TEST(MuxReconnectTest, ReplayHonorsPerStreamWatermarks) {
           .ok());
   uint16_t port = server1->port();
 
-  MuxConnection::Options mopts;
-  mopts.loop = EventLoop::Shared();
-  MuxPool pool(mopts);
+  MuxPool pool(MuxConnection::Options{});
 
   OutputBuffer log_a, log_b;
   RemoteChannelOptions opts;
@@ -429,7 +420,6 @@ TEST(MuxReconnectTest, ReplayHonorsPerStreamWatermarks) {
   std::set<uint64_t> seen_a2, seen_b2;
   std::atomic<int> replayed_a{0}, replayed_b{0};
   ChannelServerOptions sopts2;
-  sopts2.mode = NetMode::kEventLoop;
   sopts2.port = port;
   ChannelServer server2(sopts2);
   ASSERT_TRUE(

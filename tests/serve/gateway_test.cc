@@ -16,6 +16,7 @@
 #include "src/apps/kv.h"
 #include "src/net/frame.h"
 #include "src/runtime/elastic.h"
+#include "src/runtime/executor.h"
 #include "src/serve/client.h"
 #include "src/serve/gateway.h"
 
@@ -255,6 +256,90 @@ TEST_F(GatewayFixture, OverloadShedsWithOverloadedAndRecovers) {
   gw.Stop();
   w1->Stop();
   head.Stop();
+}
+
+// Threads this process has right now (one /proc/self/task entry each).
+size_t ThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// The thread count once it has held still for 200 ms (or after 10 s):
+// detached open/reconnect threads may still be returning when Stop does.
+size_t SettledThreadCount() {
+  size_t last = ThreadCount();
+  int stable_polls = 0;
+  for (int i = 0; i < 500 && stable_polls < 10; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t now = ThreadCount();
+    stable_polls = now == last ? stable_polls + 1 : 0;
+    last = now;
+  }
+  return last;
+}
+
+// Starts and stops a whole head + gateway + worker fleet twice in one
+// process. Each fleet dials data channels, a reply stream and a replica
+// feed, and serves puts and strong gets, so every setup, stream-open and
+// reconnect thread kind gets spawned. Once the first fleet is gone, only the
+// process-lifetime pools may remain: Executor::Shared (one thread per
+// worker) and EventLoop::Shared (one thread). The second fleet must then
+// leave the count exactly where the first did.
+TEST_F(GatewayFixture, StoppedFleetLeavesNoThreadsBehind) {
+  auto run_fleet = [&] {
+    // A fresh deployment each time, not a restart of the previous one.
+    std::filesystem::remove_all(root_ / "backup");
+    elastic::ElasticHead head(HeadOptions());
+    ASSERT_TRUE(head.Start().ok());
+    auto w1 = MakeServeWorker(1, head.port(), /*ckpt_interval_ms=*/50);
+    ASSERT_TRUE(w1->Start().ok());
+    ASSERT_TRUE(w1->WaitJoined(10000));
+    ASSERT_TRUE(head.WaitForAssignment(10000));
+    GatewayOptions go;
+    go.partitions = kPartitions;
+    ServeGateway gw(&head, go);
+    ASSERT_TRUE(gw.Start().ok());
+    KvClient client({"127.0.0.1", head.port()});
+    ASSERT_TRUE(client.Connect().ok());
+    for (int64_t k = 0; k < 20; ++k) {
+      auto put = client.Put(k, "v");
+      ASSERT_TRUE(put.ok()) << put.status().ToString();
+      auto get = client.Get(k);
+      ASSERT_TRUE(get.ok()) << get.status().ToString();
+    }
+    client.Close();
+    gw.Stop();
+    w1->Stop();
+    head.Stop();
+  };
+
+  const size_t before = SettledThreadCount();
+  run_fleet();
+  if (HasFatalFailure()) {
+    return;
+  }
+  const size_t after_first = SettledThreadCount();
+  RecordProperty("threads_before", static_cast<int>(before));
+  RecordProperty("threads_after_first", static_cast<int>(after_first));
+  EXPECT_LE(after_first,
+            before + runtime::Executor::Shared()->workers() + 1)
+      << "more than the shared executor and event loop outlived the fleet";
+  run_fleet();
+  if (HasFatalFailure()) {
+    return;
+  }
+  size_t after_second = ThreadCount();
+  for (int i = 0; i < 500 && after_second != after_first; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    after_second = ThreadCount();
+  }
+  EXPECT_EQ(after_second, after_first)
+      << "a stopped fleet left threads behind";
 }
 
 }  // namespace
