@@ -1,15 +1,18 @@
 // Hot-path pipeline throughput microbench: items/sec through a two-hop
 // dataflow (entry TE -> partitioned stateful TE) as the node count, the
-// cross-node serialisation flag and the worker batch size vary. This is the
-// repo's perf-trajectory anchor for the dataflow hot path: every item pays
+// cross-node serialisation flag, the worker batch size and the fault-
+// tolerance mode (upstream-backup logging + async checkpoints) vary. This is
+// the repo's perf-trajectory anchor for the dataflow hot path: every item pays
 // mailbox push/pop, in-flight accounting, routing and (optionally) a
 // serialise/deserialise round trip, so the numbers move whenever those costs
 // do. Each configuration runs `SDG_BENCH_REPS` times (default 3) and reports
 // the best rate — on a shared/small machine the peak is the stable statistic,
 // the mean just measures scheduler noise. Emits BENCH_hotpath.json next to
-// the printed table.
+// the printed table, plus a within-run ratio row (fault tolerance on vs off)
+// that carries across hosts where the absolute rates do not.
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,7 @@ struct Config {
   size_t max_batch = 256;    // worker mailbox drain limit
   size_t inject_chunk = 64;  // tuples per InjectAll call
   uint32_t instances = 4;    // materialised `count` instances
+  runtime::FtMode ft = runtime::FtMode::kNone;
 };
 
 int Reps() {
@@ -67,6 +71,13 @@ double RunPipeline(const Config& cfg, double seconds) {
   o.num_nodes = cfg.nodes;
   o.serialize_cross_node = cfg.serialize;
   o.max_batch = cfg.max_batch;
+  if (cfg.ft != runtime::FtMode::kNone) {
+    // Periodic async checkpoints keep the upstream-backup logs trimmed.
+    o.fault_tolerance.mode = cfg.ft;
+    o.fault_tolerance.checkpoint_interval_s = 0.5;
+    o.fault_tolerance.store.root = FreshBenchDir("hotpath_" + cfg.name);
+    o.fault_tolerance.store.num_backup_nodes = 2;
+  }
   runtime::Cluster cluster(o);
   auto d = cluster.Deploy(std::move(*g));
 
@@ -88,6 +99,9 @@ double RunPipeline(const Config& cfg, double seconds) {
   double elapsed = timer.ElapsedSeconds();
   auto processed = static_cast<double>((*d)->ProcessedOf("count"));
   (*d)->Shutdown();
+  if (cfg.ft != runtime::FtMode::kNone) {
+    std::filesystem::remove_all(o.fault_tolerance.store.root);
+  }
   return processed / elapsed;
 }
 
@@ -116,6 +130,11 @@ int main() {
       {"1node_ser", 1, true},
       {"4node_raw", 4, false},
       {"4node_ser", 4, true},
+      // The same pipeline with upstream backup on: every routed item is
+      // logged in its source's output buffer and deliveries flush once per
+      // step-lock scope, as in the checkpointed wordcount.
+      {"4node_ser_async", 4, true, /*max_batch=*/256, /*inject_chunk=*/64,
+       /*instances=*/4, sdg::runtime::FtMode::kAsyncLocal},
       {"4node_ser_b1", 4, true, /*max_batch=*/1, /*inject_chunk=*/1},
       {"4node_ser_b8", 4, true, /*max_batch=*/8, /*inject_chunk=*/8},
       {"4node_ser_b64", 4, true, /*max_batch=*/64, /*inject_chunk=*/64},
@@ -130,23 +149,36 @@ int main() {
   };
 
   BenchJson json;
-  std::printf("%-22s %8s %10s %10s %10s %16s\n", "config", "nodes",
-              "serialize", "max_batch", "instances", "items/sec");
+  std::printf("%-22s %8s %10s %10s %10s %12s %16s\n", "config", "nodes",
+              "serialize", "max_batch", "instances", "ft", "items/sec");
+  std::map<std::string, double> rates;
   for (const auto& cfg : configs) {
     double rate = BestOf(reps, cfg, seconds);
-    std::printf("%-22s %8u %10s %10zu %10u %16.0f\n", cfg.name.c_str(),
+    rates[cfg.name] = rate;
+    const std::string ft(sdg::runtime::FtModeName(cfg.ft));
+    std::printf("%-22s %8u %10s %10zu %10u %12s %16.0f\n", cfg.name.c_str(),
                 cfg.nodes, cfg.serialize ? "on" : "off", cfg.max_batch,
-                cfg.instances, rate);
+                cfg.instances, ft.c_str(), rate);
     json.BeginRow();
     json.Add("config", cfg.name);
     json.Add("nodes", static_cast<uint64_t>(cfg.nodes));
     json.Add("serialize", std::string(cfg.serialize ? "on" : "off"));
     json.Add("max_batch", static_cast<uint64_t>(cfg.max_batch));
     json.Add("instances", static_cast<uint64_t>(cfg.instances));
+    json.Add("ft", ft);
     json.Add("reps", static_cast<uint64_t>(reps));
     json.Add("hw_threads", HwThreads());
     json.Add("items_per_sec", rate);
   }
+  // Throughput kept with upstream backup on, as a fraction of the same
+  // pipeline without it (1.0 = fault tolerance is free on the hot path).
+  const double ft_ratio = rates["4node_ser_async"] / rates["4node_ser"];
+  std::printf("%-22s %.3f\n", "4node_ser_async/ser", ft_ratio);
+  json.BeginRow();
+  json.Add("config", std::string("4node_ser_async_over_ser"));
+  json.Add("reps", static_cast<uint64_t>(reps));
+  json.Add("hw_threads", HwThreads());
+  json.Add("speedup_vs_4node_ser", ft_ratio);
   if (!json.WriteFile("BENCH_hotpath.json")) {
     std::printf("  warning: could not write BENCH_hotpath.json\n");
     return 1;

@@ -35,12 +35,13 @@ class BinaryWriter {
 
   void WriteString(std::string_view s) {
     Write<uint64_t>(s.size());
-    size_t offset = buffer_.size();
-    buffer_.resize(offset + s.size());
-    std::memcpy(buffer_.data() + offset, s.data(), s.size());
+    WriteBytes(s.data(), s.size());
   }
 
   void WriteBytes(const void* data, size_t size) {
+    if (size == 0) {
+      return;  // `data` may be null (empty vector): memcpy(nullptr, ..., 0) is UB
+    }
     size_t offset = buffer_.size();
     buffer_.resize(offset + size);
     std::memcpy(buffer_.data() + offset, data, size);
@@ -122,6 +123,9 @@ class BinaryReader {
       return Status(StatusCode::kOutOfRange, "vector length past end of buffer");
     }
     std::vector<T> v(count);
+    if (count == 0) {
+      return v;  // v.data() may be null
+    }
     std::memcpy(v.data(), data_ + pos_, count * sizeof(T));
     pos_ += count * sizeof(T);
     return v;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <set>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -16,41 +17,50 @@ namespace sdg::runtime {
 
 namespace {
 
-// Acquires every step mutex in `mutexes` without hold-and-wait: try-lock all,
-// back off on contention. Avoids deadlock against slices that hold their step
-// lock while blocked on a full mailbox.
+// Acquires the step lock of every instance in `instances` without
+// hold-and-wait: try-lock all, back off on contention. Avoids deadlock
+// against slices that hold their step lock while blocked on a full mailbox.
+// A slice holds its step lock across a whole drained batch, so a cut request
+// is raised first (and withdrawn once every lock is held): each slice then
+// releases its lock at the next item boundary, §5's "minimal interruption".
 class MultiLock {
  public:
-  explicit MultiLock(std::vector<std::timed_mutex*> mutexes)
-      : mutexes_(std::move(mutexes)) {
+  explicit MultiLock(std::vector<TaskInstance*> instances)
+      : instances_(std::move(instances)) {
+    for (auto* ti : instances_) {
+      ti->RequestCut();
+    }
     for (;;) {
       size_t acquired = 0;
-      for (; acquired < mutexes_.size(); ++acquired) {
-        if (!mutexes_[acquired]->try_lock()) {
+      for (; acquired < instances_.size(); ++acquired) {
+        if (!instances_[acquired]->step_mutex().try_lock()) {
           break;
         }
       }
-      if (acquired == mutexes_.size()) {
-        return;
+      if (acquired == instances_.size()) {
+        break;
       }
       for (size_t i = 0; i < acquired; ++i) {
-        mutexes_[i]->unlock();
+        instances_[i]->step_mutex().unlock();
       }
       std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    for (auto* ti : instances_) {
+      ti->WithdrawCut();
     }
   }
 
   ~MultiLock() { Release(); }
 
   void Release() {
-    for (auto* m : mutexes_) {
-      m->unlock();
+    for (auto* ti : instances_) {
+      ti->step_mutex().unlock();
     }
-    mutexes_.clear();
+    instances_.clear();
   }
 
  private:
-  std::vector<std::timed_mutex*> mutexes_;
+  std::vector<TaskInstance*> instances_;
 };
 
 std::string StateChunkName(graph::StateId state, uint32_t instance) {
@@ -96,16 +106,17 @@ struct StagedGroup {
   graph::TaskId src_task = 0;  // emitting TE, for edge-fault rule matching
   TaskInstance* ti = nullptr;
   std::vector<DataItem> items;
+  size_t logged = 0;  // leading items already in the upstream-backup log
 };
 
 // Per-thread staging area. RouteEmits runs inside one instance's slice and
-// stages into it; FlushStagedDeliveries empties it — per input item when
-// upstream backup is on, per drained mailbox batch otherwise. A blocked
-// delivery may help-run ANOTHER instance's slice inline on this same thread
-// (executor.h), so the flush must swap the staged groups out of the
-// thread_local before delivering: the nested slice then stages and flushes
-// its own groups without touching the outer flush's. Thread-local reuse keeps
-// the steady-state emit path free of per-item allocations.
+// stages into it; FlushStagedDeliveries (via OnItemsDone) empties it once
+// per step-lock scope of that slice. A blocked delivery may help-run ANOTHER
+// instance's slice inline on this same thread (executor.h), so the flush
+// must swap the staged groups out of the thread_local before delivering:
+// the nested slice then stages and flushes its own groups without touching
+// the outer flush's. Thread-local reuse keeps the steady-state emit path free
+// of per-item allocations.
 thread_local std::vector<StagedGroup> tl_staged;
 
 // Scratch for tuples emitted past the last out-edge (sink deliveries);
@@ -850,18 +861,20 @@ void Deployment::RouteEmits(TaskInstance& src, std::vector<PendingEmit>& emits,
   AccountDelivered(staged_count);
 
   if (buffering_enabled_) {
-    // Upstream-backup log first — an item must be in its source's buffer
-    // before any downstream effect of it can be checkpointed — then flush
-    // inside this item's step-lock scope. Deferring delivery past the step
-    // lock would let a checkpoint cover the item while its outputs sit
-    // undelivered in this thread; a downstream replay plus the late original
-    // push would then double-deliver (originals carry replayed=false and
-    // bypass dedup). With buffering off no replay exists, so OnItemsDone
-    // flushes once per drained batch instead.
+    // Upstream-backup log as the items are staged: an item must be in its
+    // source's buffer before any downstream effect of it can be
+    // checkpointed. Delivery waits for OnItemsDone, which the slice calls
+    // before releasing its step lock, so no checkpoint can cover this input
+    // while its outputs sit undelivered in this thread (a downstream replay
+    // plus the late original push would double-deliver: originals carry
+    // replayed=false and bypass dedup).
     for (auto& g : groups) {
-      src.BufferFor(g.task).AppendAll(g.items, g.dest);
+      if (g.logged < g.items.size()) {
+        src.BufferFor(g.task).AppendAll(
+            std::span<const DataItem>(g.items).subspan(g.logged), g.dest);
+        g.logged = g.items.size();
+      }
     }
-    FlushStagedDeliveries();
   }
   for (auto& tuple : local_sinks) {
     DeliverToSink(src.task_id(), tuple, cause.user_tag);
@@ -893,13 +906,19 @@ void Deployment::FlushStagedDeliveries() {
       const auto& slots = task_instances_[g.task];
       g.ti = (g.dest < slots.size() && slots[g.dest]) ? slots[g.dest].get()
                                                       : nullptr;
+      if (!node_alive_[g.src_node]) {
+        // The source was killed mid-batch: its unsent outputs die with it,
+        // as on a real crash. Recovery re-derives them from the upstream
+        // replay (delivering them late could overtake that replay).
+        g.ti = nullptr;
+      }
     }
   }
   for (auto& g : groups) {
     if (g.ti == nullptr) {
-      // Destination lost between staging and flush. When buffering, the
-      // upstream log already retains the items for replay; either way they
-      // leave the in-flight count.
+      // Destination (or source) lost between staging and flush. When
+      // buffering, an upstream log still retains the items or their inputs
+      // for replay; either way they leave the in-flight count.
       AccountDone(g.items.size());
       continue;
     }
@@ -976,9 +995,10 @@ void Deployment::DeliverToSink(graph::TaskId task, const Tuple& tuple,
 }
 
 void Deployment::OnItemsDone(size_t count) {
-  // Push everything this worker staged during the batch before releasing the
-  // batch's own in-flight count — staged items were accounted at staging
-  // time, so in_flight_ never dips to zero while they are pending.
+  // Push everything this worker staged in the step-lock scope (the slice
+  // still holds the lock) before releasing the items' own in-flight count —
+  // staged items were accounted at staging time, so in_flight_ never dips to
+  // zero while they are pending.
   FlushStagedDeliveries();
   AccountDone(count);
 }
@@ -1425,12 +1445,7 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
   // flag the SE dirty and capture a consistent (SE, vector-timestamp, clock)
   // cut — the paper's "minimal interruption" point (§5 step 1/2).
   for (auto& unit : units) {
-    std::vector<std::timed_mutex*> locks;
-    locks.reserve(unit.accessors.size());
-    for (auto* ti : unit.accessors) {
-      locks.push_back(&ti->step_mutex());
-    }
-    MultiLock pause(std::move(locks));
+    MultiLock pause(unit.accessors);
     if (unit.backend != nullptr) {
       unit.backend->BeginCheckpoint();
       checkpoint::StateInstanceMeta sm;
@@ -1606,7 +1621,7 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
     // Stop-the-node (SEEP) / stop-the-world (Naiad): hold every relevant
     // step lock for the full serialise+write. Paused slices time out on
     // try_lock_for and yield their pool worker rather than wedging the pool.
-    std::vector<std::timed_mutex*> locks;
+    std::vector<TaskInstance*> paused;
     {
       std::shared_lock topo(topo_mutex_);
       for (auto& slots : task_instances_) {
@@ -1615,12 +1630,12 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
             continue;
           }
           if (mode == FtMode::kSyncGlobal || ti->node() == node) {
-            locks.push_back(&ti->step_mutex());
+            paused.push_back(ti.get());
           }
         }
       }
     }
-    MultiLock pause(std::move(locks));
+    MultiLock pause(std::move(paused));
     persist_status = persist();
   } else {
     persist_status = persist();
@@ -2200,6 +2215,7 @@ void Deployment::ScalingMonitorLoop() {
   const auto& opts = options_.scaling;
   std::map<graph::TaskId, int> high_samples;
   std::map<std::pair<graph::TaskId, uint32_t>, uint64_t> last_processed;
+  std::map<std::pair<graph::TaskId, uint32_t>, size_t> last_backlog;
   std::map<std::pair<graph::TaskId, uint32_t>, int> slow_samples;
   Stopwatch cooldown;
   bool in_cooldown = false;
@@ -2220,6 +2236,7 @@ void Deployment::ScalingMonitorLoop() {
       uint32_t alive = 0;
       std::vector<std::pair<uint32_t, double>> instance_rates;  // per instance
       std::vector<uint32_t> instance_nodes;
+      std::vector<bool> instance_had_work;
     };
     std::vector<TaskSample> samples;
     {
@@ -2240,6 +2257,11 @@ void Deployment::ScalingMonitorLoop() {
           double rate =
               static_cast<double>(processed - last_processed[key]);
           last_processed[key] = processed;
+          // Backlog at either end of the window: an instance that had none
+          // was starved by its input, not slow.
+          size_t backlog = ti->Backlog();
+          s.instance_had_work.push_back(backlog > 0 || last_backlog[key] > 0);
+          last_backlog[key] = backlog;
           s.instance_rates.emplace_back(ti->instance_id(), rate);
           s.instance_nodes.push_back(ti->node());
         }
@@ -2252,7 +2274,8 @@ void Deployment::ScalingMonitorLoop() {
 
     for (auto& s : samples) {
       // Straggler detection: an instance persistently slower than the median
-      // marks its node (future placements avoid it; §6.3).
+      // while it had queued work marks its node (future placements avoid it;
+      // §6.3). An idle instance is not judged: its rate is its input's.
       if (s.instance_rates.size() >= 2) {
         std::vector<double> rates;
         for (auto& [inst, rate] : s.instance_rates) {
@@ -2263,7 +2286,8 @@ void Deployment::ScalingMonitorLoop() {
         for (size_t i = 0; i < s.instance_rates.size(); ++i) {
           auto [inst, rate] = s.instance_rates[i];
           auto key = std::make_pair(s.task, inst);
-          if (median > 0 && rate < opts.straggler_ratio * median) {
+          if (s.instance_had_work[i] && median > 0 &&
+              rate < opts.straggler_ratio * median) {
             if (++slow_samples[key] >= opts.samples_to_trigger) {
               uint32_t node = s.instance_nodes[i];
               bool newly_flagged = false;

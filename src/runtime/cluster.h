@@ -321,9 +321,8 @@ class Deployment final : public RuntimeHooks {
   // destination instances are re-resolved under the topology lock (staged
   // groups hold no instance pointers), items crossing a node boundary are
   // serialised, and each group lands with one mailbox push. Groups whose
-  // destination is gone are dropped and released from in-flight accounting.
-  // Called per input item when upstream backup is on, per drained mailbox
-  // batch otherwise.
+  // destination or source is gone are dropped and released from in-flight
+  // accounting. Called from OnItemsDone, once per step-lock scope.
   void FlushStagedDeliveries();
 
   Status CheckpointNodeLocked(uint32_t node);

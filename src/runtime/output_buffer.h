@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/common/serialize.h"
@@ -37,9 +38,9 @@ class OutputBuffer {
     AppendLocked(item, dest_instance);
   }
 
-  // Logs a whole batch destined to one instance under a single lock hold
-  // (the batch-delivery path appends per destination group).
-  void AppendAll(const std::vector<DataItem>& items, uint32_t dest_instance) {
+  // Logs a run of items destined to one instance under a single lock hold
+  // (routing appends each input item's share of a destination group).
+  void AppendAll(std::span<const DataItem> items, uint32_t dest_instance) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto& q = queues_[dest_instance];
     for (const auto& item : items) {

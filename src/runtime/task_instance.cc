@@ -1,6 +1,7 @@
 #include "src/runtime/task_instance.h"
 
 #include <chrono>
+#include <thread>
 
 #include "src/common/logging.h"
 
@@ -91,6 +92,7 @@ void TaskInstance::StopWhenDrained() {
 }
 
 size_t TaskInstance::Abort() {
+  aborted_.store(true, std::memory_order_relaxed);
   size_t dropped = mailbox_.Abort();
   Ready();  // flush any carried resume_ items, then go idle
   return dropped;
@@ -167,47 +169,78 @@ void TaskInstance::ForEachBuffer(
 
 bool TaskInstance::RunSlice() {
   // resume_ holds items already popped by a previous slice that yielded on
-  // the step lock; they must go first to preserve per-source FIFO.
+  // the step lock or at a cut; they must go first to preserve per-source
+  // FIFO.
   if (resume_.empty() &&
       mailbox_.TryPopAll(resume_, max_batch_) == 0) {
     return false;  // empty (spurious ready) or closed-and-drained
   }
+  popped_.store(resume_.size(), std::memory_order_relaxed);
+  // A pending cut goes first: its taker polls (MultiLock), and a slice that
+  // released at a cut is re-run within microseconds, so re-taking the lock
+  // at once would starve the taker. Defer for up to ~1ms, once per cut, so a
+  // taker that also waits on a busy sibling cannot stall this instance.
+  if (cut_requests_.load(std::memory_order_relaxed) == 0) {
+    deferred_to_cut_ = false;
+  } else if (!deferred_to_cut_) {
+    deferred_to_cut_ = true;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+    while (cut_requests_.load(std::memory_order_relaxed) != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  // One step-lock scope covers the batch and the flush of everything it
+  // staged (OnItemsDone): the checkpointer cannot cut between an item and
+  // the delivery of its outputs, so an item is in its source's upstream log
+  // (RouteEmits) before any downstream effect of it can be checkpointed. A
+  // checkpointer that holds the lock across a long synchronous persist must
+  // not wedge this pool worker: give up after ~1ms of polling and yield the
+  // slice (the executor re-runs it; the batch stays in resume_). Polling
+  // try_lock instead of a timed lock keeps every acquisition visible to the
+  // thread sanitizer, which does not model timed_mutex::try_lock_for.
+  std::unique_lock<std::mutex> step(step_mutex_, std::try_to_lock);
+  for (int polls = 0; !step.owns_lock(); ++polls) {
+    if (polls == 20) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    (void)step.try_lock();
+  }
   int64_t start_ns = Stopwatch::NowNanos();
   size_t processed = 0;
-  bool yielded = false;
   while (!resume_.empty()) {
-    // The step lock is re-acquired per item so a checkpoint can still cut in
-    // between any two items of a batch (§5's "minimal interruption"). A
-    // checkpointer that holds it across a long synchronous persist must not
-    // wedge this pool worker: give up after ~1ms and yield the slice (the
-    // executor re-runs it; the un-processed tail stays in resume_).
-    std::unique_lock<std::timed_mutex> step(step_mutex_, std::defer_lock);
-    if (!step.try_lock() &&
-        !step.try_lock_for(std::chrono::milliseconds(1))) {
-      yielded = true;
-      break;
-    }
     ProcessItem(resume_.front(), emit_scratch_);
-    step.unlock();
     resume_.pop_front();
     ++processed;
-  }
-  if (processed > 0) {
-    hooks_->OnItemsDone(processed);
-    // Straggler simulation: a node with speed s < 1 takes 1/s times as long
-    // per item; pad the batch by the difference. This sleeps a pool worker,
-    // exactly as it slept the dedicated worker before.
-    double speed = hooks_->NodeSpeed(node_);
-    if (speed < 1.0 && speed > 0.0) {
-      int64_t took = Stopwatch::NowNanos() - start_ns;
-      auto pad = static_cast<int64_t>(static_cast<double>(took) *
-                                      (1.0 / speed - 1.0));
-      if (pad > 0) {
-        std::this_thread::sleep_for(std::chrono::nanoseconds(pad));
-      }
+    // A pending cut or a kill ends the scope at this item boundary.
+    if (cut_requests_.load(std::memory_order_relaxed) != 0 ||
+        aborted_.load(std::memory_order_relaxed)) {
+      break;
     }
   }
-  return yielded || !resume_.empty() || !mailbox_.Empty();
+  size_t done = processed;
+  if (aborted_.load(std::memory_order_relaxed)) {
+    done += resume_.size();  // lost with the instance, like its mailbox
+    resume_.clear();
+  }
+  hooks_->OnItemsDone(done);
+  step.unlock();
+  popped_.store(resume_.size(), std::memory_order_relaxed);
+  // Straggler simulation: a node with speed s < 1 takes 1/s times as long
+  // per item; pad the batch by the difference. This sleeps a pool worker,
+  // exactly as it slept the dedicated worker before.
+  double speed = hooks_->NodeSpeed(node_);
+  if (speed < 1.0 && speed > 0.0) {
+    int64_t took = Stopwatch::NowNanos() - start_ns;
+    auto pad = static_cast<int64_t>(static_cast<double>(took) *
+                                    (1.0 / speed - 1.0));
+    if (pad > 0) {
+      std::this_thread::sleep_for(std::chrono::nanoseconds(pad));
+    }
+  }
+  return !resume_.empty() || !mailbox_.Empty();
 }
 
 void TaskInstance::ProcessItem(const DataItem& item,

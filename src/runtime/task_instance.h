@@ -7,9 +7,10 @@
 // at a time against the instance's local SE and emitting results downstream —
 // a fully pipelined execution whose thread count is O(pool size), not
 // O(instances). Batching changes only how often a slice touches shared
-// synchronisation (one mailbox lock and one in-flight report per batch, not
-// per item); items are still processed strictly in per-source FIFO order
-// (the claim protocol guarantees a single runner per instance).
+// synchronisation (one mailbox lock, one step-lock scope, one delivery flush
+// and one in-flight report per batch, not per item); items are still
+// processed strictly in per-source FIFO order (the claim protocol guarantees
+// a single runner per instance).
 //
 // The instance also carries the recovery protocol's per-instance state (§5):
 // the emit clock issuing outgoing timestamps, the vector of last-seen
@@ -67,8 +68,9 @@ class RuntimeHooks {
   virtual void DeliverToSink(graph::TaskId task, const Tuple& tuple,
                              uint64_t user_tag) = 0;
 
-  // Called once per drained mailbox batch, after all `count` items have been
-  // processed (in-flight accounting).
+  // Called once per step-lock scope, after its `count` items have been
+  // processed and before the step lock is released: delivers what they
+  // emitted, then settles in-flight accounting.
   virtual void OnItemsDone(size_t count) = 0;
 
   // Speed factor of `node` (1.0 = nominal; <1 simulates a straggler).
@@ -93,9 +95,9 @@ class TaskInstance : public DeliveryTarget, public Schedulable {
   void StopWhenDrained();
   // Kills the instance immediately, dropping queued items (failure
   // injection). Returns the number of queued items dropped so the deployment
-  // can settle its in-flight accounting for them. Items already popped into
-  // the current slice's batch still complete (same semantics as the old
-  // dedicated worker finishing its popped batch).
+  // can settle its in-flight accounting for them. A slice in progress stops
+  // at its next item boundary and drops the rest of its popped batch (it
+  // settles their accounting itself), as a crashed node would.
   size_t Abort();
   // Waits for the last slice to retire. Requires StopWhenDrained or Abort
   // first (otherwise new pushes keep the instance busy indefinitely).
@@ -119,6 +121,12 @@ class TaskInstance : public DeliveryTarget, public Schedulable {
   void set_state(state::StateBackend* s) { state_ = s; }
 
   size_t QueueDepth() const { return mailbox_.size(); }
+  // Queued plus popped-but-unprocessed items (the popped part is refreshed
+  // at slice boundaries, so mid-slice it may overstate by what the slice has
+  // done since). Zero means the instance had nothing to work on.
+  size_t Backlog() const {
+    return mailbox_.size() + popped_.load(std::memory_order_relaxed);
+  }
   size_t QueueCapacity() const { return mailbox_.capacity(); }
   uint64_t ItemsProcessed() const { return processed_.value(); }
 
@@ -126,13 +134,18 @@ class TaskInstance : public DeliveryTarget, public Schedulable {
 
   // --- Recovery protocol state ----------------------------------------------
 
-  // The step lock is held by a slice while processing one item (it is
-  // re-acquired per item even within a batch); the checkpointer takes it to
-  // capture a consistent (SE, meta) cut with only a brief interruption (§5).
-  // timed_mutex: a slice that cannot get it within ~1ms parks the rest of
-  // its batch and yields its worker instead of wedging the pool while a
-  // synchronous checkpoint holds step locks across a persist.
-  std::timed_mutex& step_mutex() { return step_mutex_; }
+  // The step lock is held by a slice across its drained batch, including
+  // the flush of the batch's staged deliveries; the checkpointer takes it to
+  // capture a consistent (SE, meta) cut. For §5's "minimal interruption" a
+  // taker first raises a cut request: the slice then flushes and releases
+  // the lock at the next item boundary instead of at the end of its batch.
+  // A slice that cannot get it within ~1ms parks its batch and yields its
+  // worker instead of wedging the pool while a synchronous checkpoint holds
+  // step locks across a persist.
+  std::mutex& step_mutex() { return step_mutex_; }
+  // Counted, so overlapping takers each withdraw only their own request.
+  void RequestCut() { cut_requests_.fetch_add(1, std::memory_order_relaxed); }
+  void WithdrawCut() { cut_requests_.fetch_sub(1, std::memory_order_relaxed); }
 
   // Snapshot of the per-source last-seen timestamps. Caller must hold the
   // step lock for a consistent cut.
@@ -147,7 +160,7 @@ class TaskInstance : public DeliveryTarget, public Schedulable {
       const std::function<void(graph::TaskId, OutputBuffer&)>& fn);
 
  protected:
-  // Schedulable: drains up to max_batch items under the step lock.
+  // Schedulable: drains up to max_batch items under one step-lock scope.
   bool RunSlice() override;
 
  private:
@@ -171,9 +184,13 @@ class TaskInstance : public DeliveryTarget, public Schedulable {
   // when the step lock forces a yield), and the emit coalescing scratch.
   std::deque<DataItem> resume_;
   std::vector<PendingEmit> emit_scratch_;
+  bool deferred_to_cut_ = false;  // this cut already got its head start
+  std::atomic<size_t> popped_{0};  // resume_.size() mirror for Backlog()
+  std::atomic<bool> aborted_{false};
 
   LogicalClock emit_clock_;
-  std::timed_mutex step_mutex_;
+  std::mutex step_mutex_;
+  std::atomic<uint32_t> cut_requests_{0};
 
   mutable std::mutex seen_mutex_;
   std::map<SourceId, uint64_t> last_seen_;
