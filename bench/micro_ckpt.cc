@@ -8,12 +8,11 @@
 //     bytes/epoch for both and the full/delta ratio (the headline win of
 //     incremental checkpointing).
 //
-//  2. Streaming vs materialise-then-write checkpoint wall time at equal chunk
-//     counts, under a per-backup-node write throttle that models the paper's
-//     disk-bound regime. The streaming path overlaps SerializeRecords with
-//     backup I/O segment-by-segment; the batch path serialises every chunk
-//     into memory first. Also reports the foreground ingest rate measured
-//     while the checkpoint runs (async-local checkpoints must not dent it).
+//  2. Streaming checkpoint wall time under a per-backup-node write throttle
+//     that models the paper's disk-bound regime: the checkpoint overlaps
+//     SerializeRecords with backup I/O segment-by-segment. Also reports the
+//     foreground ingest rate measured while the checkpoint runs (async-local
+//     checkpoints must not dent it).
 //
 // Short mode: SDG_BENCH_SCALE=0.05 (CI smoke) — this bench is sized by state
 // volume, so the scale knob is the one that shortens it.
@@ -53,7 +52,7 @@ Result<graph::Sdg> BuildKvGraph() {
 }
 
 runtime::ClusterOptions MakeOptions(const std::filesystem::path& dir,
-                                    bool streaming, uint32_t delta_interval,
+                                    uint32_t delta_interval,
                                     uint64_t throttle_bytes_per_sec) {
   runtime::ClusterOptions o;
   o.num_nodes = 1;
@@ -61,7 +60,6 @@ runtime::ClusterOptions MakeOptions(const std::filesystem::path& dir,
   o.fault_tolerance.mode = runtime::FtMode::kAsyncLocal;
   o.fault_tolerance.checkpoint_interval_s = 0;  // bench-driven
   o.fault_tolerance.chunks_per_state = kChunks;
-  o.fault_tolerance.streaming_checkpoint = streaming;
   o.fault_tolerance.delta_epoch_interval = delta_interval;
   o.fault_tolerance.chunk_codec = state::kChunkCodecPrefix;
   o.fault_tolerance.store.root = dir;
@@ -116,8 +114,7 @@ EpochCost MeasureEpochs(const std::string& tag, int64_t keys, double rate,
                         int epochs, uint32_t delta_interval) {
   auto dir = FreshBenchDir("ckpt_" + tag);
   auto g = BuildKvGraph();
-  runtime::Cluster cluster(
-      MakeOptions(dir, /*streaming=*/true, delta_interval, /*throttle=*/0));
+  runtime::Cluster cluster(MakeOptions(dir, delta_interval, /*throttle=*/0));
   auto d = cluster.Deploy(std::move(*g));
   LoadKeys(**d, keys, /*rev=*/0);
   (void)(*d)->CheckpointNode(0);  // base (always full)
@@ -153,11 +150,10 @@ struct CkptRun {
 // Loads `keys`, then checkpoints while a foreground injector keeps writing;
 // reports checkpoint wall time and the foreground rate during it.
 CkptRun MeasureCheckpointWall(const std::string& tag, int64_t keys,
-                              bool streaming, uint64_t throttle) {
+                              uint64_t throttle) {
   auto dir = FreshBenchDir("ckpt_" + tag);
   auto g = BuildKvGraph();
-  runtime::Cluster cluster(
-      MakeOptions(dir, streaming, /*delta_interval=*/0, throttle));
+  runtime::Cluster cluster(MakeOptions(dir, /*delta_interval=*/0, throttle));
   auto d = cluster.Deploy(std::move(*g));
   LoadKeys(**d, keys, /*rev=*/0);
 
@@ -249,23 +245,9 @@ int main() {
     json.Add("full_over_delta_bytes", ratio);
   }
 
-  auto batch = MeasureCheckpointWall("mat", keys, /*streaming=*/false,
-                                     throttle);
-  auto stream = MeasureCheckpointWall("stream", keys, /*streaming=*/true,
-                                      throttle);
-  std::printf("  materialise:  %7.1f ms  fg %8.0f items/s during ckpt\n",
-              batch.wall_ms, batch.items_per_sec_during);
-  std::printf("  streaming:    %7.1f ms  fg %8.0f items/s during ckpt"
-              "  (%.0f%% of materialise wall)\n",
-              stream.wall_ms, stream.items_per_sec_during,
-              batch.wall_ms > 0 ? 100 * stream.wall_ms / batch.wall_ms : 0);
-  json.BeginRow();
-  json.Add("config", std::string("materialize_ckpt"));
-  json.Add("keys", static_cast<uint64_t>(keys));
-  json.Add("hw_threads", HwThreads());
-  json.Add("throttle_mib_s", static_cast<uint64_t>(throttle >> 20));
-  json.Add("wall_ms", batch.wall_ms);
-  json.Add("items_per_sec_during", batch.items_per_sec_during);
+  auto stream = MeasureCheckpointWall("stream", keys, throttle);
+  std::printf("  streaming:    %7.1f ms  fg %8.0f items/s during ckpt\n",
+              stream.wall_ms, stream.items_per_sec_during);
   json.BeginRow();
   json.Add("config", std::string("streaming_ckpt"));
   json.Add("keys", static_cast<uint64_t>(keys));

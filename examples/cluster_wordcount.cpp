@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "src/apps/wordcount.h"
+#include "src/checkpoint/epoch_tail.h"
 #include "src/common/clock.h"
 #include "src/common/serialize.h"
 #include "src/net/channel_server.h"
@@ -38,6 +39,7 @@
 #include "src/net/remote_channel.h"
 #include "src/runtime/cluster.h"
 #include "src/state/chunk.h"
+#include "src/state/codec.h"
 #include "src/state/keyed_dict.h"
 
 namespace {
@@ -246,10 +248,17 @@ int RunReceiver(const Args& args) {
       w = received_w;
       (*d)->Drain();  // everything received is now applied to the SEs
       std::vector<std::vector<std::vector<uint8_t>>> per_instance;
+      bool serialized = true;
       for (uint32_t i = 0; i < kCountPartitions; ++i) {
         auto* backend = (*d)->StateInstance("counts", i);
-        per_instance.push_back(
-            sdg::state::SerializeToChunks(*backend, "counts", 1));
+        auto blobs = sdg::checkpoint::SerializeEpochBlobs(
+            *backend, "counts", /*num_chunks=*/1, /*delta=*/false,
+            sdg::state::kChunkCodecNone);
+        serialized = blobs.ok();
+        if (!serialized) {
+          break;
+        }
+        per_instance.push_back(std::move(*blobs));
         auto* dict =
             sdg::state::StateAs<sdg::state::KeyedDict<std::string, int64_t>>(
                 backend);
@@ -257,7 +266,7 @@ int RunReceiver(const Args& args) {
           words += static_cast<uint64_t>(v);
         });
       }
-      if (!WriteSnapshot(args.snapshot, w, per_instance)) {
+      if (!serialized || !WriteSnapshot(args.snapshot, w, per_instance)) {
         std::fprintf(stderr, "snapshot write failed\n");
         continue;  // do NOT ack: senders keep the entries
       }

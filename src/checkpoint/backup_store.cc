@@ -1,7 +1,12 @@
 #include "src/checkpoint/backup_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -11,6 +16,52 @@
 namespace sdg::checkpoint {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+constexpr std::string_view kMetaSuffix = ".meta";
+constexpr std::string_view kMetaTmpSuffix = ".meta.tmp";
+
+// A store file name `<node_prefix><epoch><rest>`, split; `rest` views the
+// parsed name.
+struct EpochName {
+  uint64_t epoch = 0;
+  std::string_view rest;
+};
+
+// Splits `fname` when it starts with `node_prefix` followed by a decimal
+// epoch; nullopt for any other name.
+std::optional<EpochName> ParseEpochName(std::string_view fname,
+                                        std::string_view node_prefix) {
+  if (!fname.starts_with(node_prefix)) {
+    return std::nullopt;
+  }
+  fname.remove_prefix(node_prefix.size());
+  EpochName out;
+  auto [end, ec] =
+      std::from_chars(fname.data(), fname.data() + fname.size(), out.epoch);
+  if (ec != std::errc() || end == fname.data()) {
+    return std::nullopt;
+  }
+  out.rest = fname.substr(static_cast<size_t>(end - fname.data()));
+  return out;
+}
+
+// fsyncs the file or directory at `path`.
+Status SyncPath(const fs::path& path) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return UnavailableError("cannot open " + path.string() + " to sync");
+  }
+  int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) {
+    return DataLossError("fsync failed for " + path.string());
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 BackupStore::BackupStore(BackupStoreOptions options)
     : options_(std::move(options)), pool_(options_.io_threads) {
@@ -79,14 +130,15 @@ void BackupStore::Throttle(uint32_t backup, size_t bytes) {
 }
 
 Status BackupStore::WriteFile(const fs::path& path,
-                              const std::vector<uint8_t>& bytes) {
+                              const std::vector<uint8_t>& bytes, bool sync) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return UnavailableError("cannot open " + path.string() + " for writing");
   }
   size_t written = bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+  bool synced = !sync || (std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0);
   int rc = std::fclose(f);
-  if (written != bytes.size() || rc != 0) {
+  if (written != bytes.size() || !synced || rc != 0) {
     return DataLossError("short write to " + path.string());
   }
   return Status::Ok();
@@ -300,7 +352,21 @@ Status BackupStore::WriteMeta(uint32_t node, uint64_t epoch,
   if (options_.fault_hook) {
     SDG_RETURN_IF_ERROR(options_.fault_hook("write_meta", 0, /*before=*/true));
   }
-  SDG_RETURN_IF_ERROR(WriteFile(MetaPath(node, epoch), meta.ToBytes()));
+  // Publish atomically: a crash leaves either no meta (the previous epoch
+  // stays authoritative) or the complete one, never a torn record under the
+  // final name. The data is synced before the rename, the rename before
+  // returning.
+  const fs::path path = MetaPath(node, epoch);
+  fs::path tmp = path;
+  tmp += ".tmp";
+  SDG_RETURN_IF_ERROR(WriteFile(tmp, meta.ToBytes(), /*sync=*/true));
+  std::error_code ec;
+  fs::rename(tmp, path, ec);
+  if (ec) {
+    return DataLossError("cannot publish " + path.string() + ": " +
+                         ec.message());
+  }
+  SDG_RETURN_IF_ERROR(SyncPath(path.parent_path()));
   // A failure here reports an error although the meta record is durable: the
   // checkpoint is complete but the checkpointing node never learns it.
   if (options_.fault_hook) {
@@ -317,20 +383,21 @@ Result<CheckpointMeta> BackupStore::ReadMeta(uint32_t node, uint64_t epoch) {
 
 Result<uint64_t> BackupStore::LatestEpoch(uint32_t node) {
   // The meta file is written last, so its presence marks a complete
-  // checkpoint; scan for the highest epoch.
+  // checkpoint; scan for the highest epoch. Only exact meta names count: a
+  // leftover `.meta.tmp` is an unpublished (possibly torn) record.
   uint64_t best = 0;
   bool found = false;
-  std::string prefix = "node" + std::to_string(node) + "_epoch";
+  const std::string prefix = "node" + std::to_string(node) + "_epoch";
   std::error_code ec;
   for (const auto& entry :
        fs::directory_iterator(options_.root / "meta", ec)) {
-    std::string fname = entry.path().filename().string();
-    if (fname.rfind(prefix, 0) != 0) {
+    const std::string fname = entry.path().filename().string();
+    auto name = ParseEpochName(fname, prefix);
+    if (!name || name->rest != kMetaSuffix) {
       continue;
     }
-    uint64_t epoch = std::strtoull(fname.c_str() + prefix.size(), nullptr, 10);
-    if (!found || epoch > best) {
-      best = epoch;
+    if (!found || name->epoch > best) {
+      best = name->epoch;
       found = true;
     }
   }
@@ -341,24 +408,30 @@ Result<uint64_t> BackupStore::LatestEpoch(uint32_t node) {
 }
 
 void BackupStore::PruneBefore(uint32_t node, uint64_t keep_epoch) {
-  std::string node_prefix = "node" + std::to_string(node) + "_epoch";
-  auto epoch_of = [&](const std::string& fname) -> uint64_t {
-    return std::strtoull(fname.c_str() + node_prefix.size(), nullptr, 10);
+  const std::string prefix = "node" + std::to_string(node) + "_epoch";
+  // Chunk files are `<prefix><E>_<name>_chunk<i>.bin`; meta files are exact
+  // `<prefix><E>.meta`, plus the `.meta.tmp` a crash mid-publish leaves.
+  auto stale = [&](const fs::path& path, bool meta_dir) {
+    const std::string fname = path.filename().string();
+    auto name = ParseEpochName(fname, prefix);
+    if (!name || name->epoch >= keep_epoch) {
+      return false;
+    }
+    return meta_dir ? name->rest == kMetaSuffix || name->rest == kMetaTmpSuffix
+                    : name->rest.starts_with('_');
   };
   std::error_code ec;
   for (uint32_t b = 0; b < options_.num_backup_nodes; ++b) {
     fs::path dir = options_.root / ("backup" + std::to_string(b));
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      std::string fname = entry.path().filename().string();
-      if (fname.rfind(node_prefix, 0) == 0 && epoch_of(fname) < keep_epoch) {
+      if (stale(entry.path(), /*meta_dir=*/false)) {
         fs::remove(entry.path(), ec);
       }
     }
   }
   for (const auto& entry :
        fs::directory_iterator(options_.root / "meta", ec)) {
-    std::string fname = entry.path().filename().string();
-    if (fname.rfind(node_prefix, 0) == 0 && epoch_of(fname) < keep_epoch) {
+    if (stale(entry.path(), /*meta_dir=*/true)) {
       fs::remove(entry.path(), ec);
     }
   }

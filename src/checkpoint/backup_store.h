@@ -87,14 +87,17 @@ class BackupStore {
                                                        const std::string& name,
                                                        uint32_t num_chunks);
 
-  // Persists / retrieves checkpoint metadata for (node, epoch).
+  // Persists / retrieves checkpoint metadata for (node, epoch). WriteMeta
+  // publishes crash-safely: it writes and fsyncs `<meta>.tmp`, renames it
+  // over the final name and fsyncs the meta directory.
   Status WriteMeta(uint32_t node, uint64_t epoch, const CheckpointMeta& meta);
   Result<CheckpointMeta> ReadMeta(uint32_t node, uint64_t epoch);
 
   // Highest epoch for which a complete meta record exists for `node`.
   Result<uint64_t> LatestEpoch(uint32_t node);
 
-  // Removes every epoch of `node` older than `keep_epoch`.
+  // Removes every epoch of `node` older than `keep_epoch`, including meta
+  // records a crash left unpublished (`.meta.tmp`).
   void PruneBefore(uint32_t node, uint64_t keep_epoch);
 
   uint32_t num_backup_nodes() const { return options_.num_backup_nodes; }
@@ -125,8 +128,9 @@ class BackupStore {
   // Applies the per-backup-node bandwidth throttle for `bytes` of traffic.
   void Throttle(uint32_t backup, size_t bytes);
 
+  // With `sync`, the data is flushed and fsynced before the file closes.
   Status WriteFile(const std::filesystem::path& path,
-                   const std::vector<uint8_t>& bytes);
+                   const std::vector<uint8_t>& bytes, bool sync = false);
   Result<std::vector<uint8_t>> ReadFile(const std::filesystem::path& path);
 
   BackupStoreOptions options_;

@@ -17,9 +17,6 @@ ChunkStreamWriter::ChunkStreamWriter(BackupStore& store, uint32_t node,
       options_(options) {
   SDG_CHECK(options_.num_chunks > 0) << "chunk stream needs >= 1 chunk";
   SDG_CHECK(options_.segment_bytes > 0) << "chunk stream needs a segment size";
-  // Streamed chunks need the v2 frame: the header record count is the
-  // kStreamedRecordCount sentinel, unknown until the stream closes.
-  chunk_options_.version = state::kChunkVersion2;
   chunk_options_.codec = options_.codec;
   chunk_options_.delta = options_.delta;
 }
@@ -30,7 +27,6 @@ ChunkStreamWriter::ChunkStreamWriter(SegmentSink sink, std::string name,
   SDG_CHECK(sink_) << "chunk stream sink mode needs a sink";
   SDG_CHECK(options_.num_chunks > 0) << "chunk stream needs >= 1 chunk";
   SDG_CHECK(options_.segment_bytes > 0) << "chunk stream needs a segment size";
-  chunk_options_.version = state::kChunkVersion2;
   chunk_options_.codec = options_.codec;
   chunk_options_.delta = options_.delta;
 }
@@ -142,6 +138,32 @@ Result<ChunkStreamWriter::Stats> ChunkStreamWriter::Finish() {
     return error_;
   }
   return stats;
+}
+
+Result<ChunkStreamWriter::Stats> WriteEpoch(
+    ChunkStreamWriter& writer, const state::StateBackend& backend,
+    const ParallelFor& parallel_for) {
+  const bool delta = writer.options().delta;
+  SDG_RETURN_IF_ERROR(writer.Begin());
+  if (parallel_for) {
+    SDG_CHECK(writer.options().concurrent)
+        << "a per-shard fan-out needs a concurrent chunk stream writer";
+    auto sink = writer.AsSink();
+    auto delta_sink = writer.AsDeltaSink();
+    parallel_for(backend.SerializeShardCount(), [&](size_t s) {
+      const auto shard = static_cast<uint32_t>(s);
+      if (delta) {
+        backend.SerializeShardDirtyRecords(shard, delta_sink);
+      } else {
+        backend.SerializeShardRecords(shard, sink);
+      }
+    });
+  } else if (delta) {
+    backend.SerializeDirtyRecords(writer.AsDeltaSink());
+  } else {
+    backend.SerializeRecords(writer.AsSink());
+  }
+  return writer.Finish();
 }
 
 }  // namespace sdg::checkpoint

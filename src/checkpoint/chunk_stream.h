@@ -1,17 +1,17 @@
-// ChunkStreamWriter: the pipelined serialize→write checkpoint data path.
+// ChunkStreamWriter: the one way a state epoch becomes checkpoint chunks.
 //
-// The materialise-then-write baseline (state::SerializeToChunks followed by
-// BackupStore::WriteChunks) holds a full serialised copy of the state in
-// memory — 2x state RSS at checkpoint time — and starts backup I/O only
-// after the last record is encoded. This writer instead frames records into
-// fixed-size segments as SerializeRecords produces them and hands each full
-// segment to the BackupStore streaming API, overlapping serialization with
-// backup I/O under the store's bounded backlog budget.
+// The writer frames records into fixed-size segments as SerializeRecords
+// produces them and hands each full segment on — to the BackupStore
+// streaming API (durable checkpoints: the runtime's node checkpoints and the
+// elastic worker's epochs), or to a segment sink (live migration, replica
+// feed blobs). Serialisation overlaps backup I/O under the store's bounded
+// backlog budget, so no full serialised copy of the state is ever held in
+// memory. WriteEpoch drives one epoch through a writer.
 //
-// Streamed chunks use the v2 frame with a kStreamedRecordCount header (the
-// exact count is unknown until the stream closes); readers walk the body to
-// the end, and checkpoint completeness is still guaranteed by the epoch meta
-// record being written last.
+// Streamed chunks carry a kStreamedRecordCount header (the exact count is
+// unknown until the stream closes); readers walk the body to the end, and
+// checkpoint completeness is still guaranteed by the epoch meta record being
+// written last.
 //
 // With Options::concurrent set, Add is thread-safe: each chunk owns a
 // mutex, so per-shard serialize tasks running on a thread pool can feed the
@@ -67,8 +67,8 @@ class ChunkStreamWriter {
   // Remote-sink mode: full segments go to `sink(chunk_index, segment)`
   // instead of the backup store — the live-migration path streams them as
   // kMigrateChunk frames while the source keeps serving. Segments of one
-  // chunk_index concatenate (in emission order) into a valid streamed v2
-  // chunk blob; a sink error is latched and surfaced by Finish.
+  // chunk_index concatenate (in emission order) into a valid streamed chunk
+  // blob; a sink error is latched and surfaced by Finish.
   using SegmentSink =
       std::function<Status(uint32_t chunk_index, std::vector<uint8_t> segment)>;
   ChunkStreamWriter(SegmentSink sink, std::string name, Options options);
@@ -90,6 +90,8 @@ class ChunkStreamWriter {
   // Flushes the tail segments and closes every stream. Not thread-safe (call
   // after the fan-out has joined).
   Result<Stats> Finish();
+
+  const Options& options() const { return options_; }
 
  private:
   struct PerChunk {
@@ -120,6 +122,21 @@ class ChunkStreamWriter {
   Status error_;
   bool begun_ = false;
 };
+
+// Runs `n` tasks, fn(0) .. fn(n - 1), and returns once all have finished.
+using ParallelFor =
+    std::function<void(size_t n, const std::function<void(size_t)>& fn)>;
+
+// Writes one epoch of `backend` through `writer`: Begin, then the dirty
+// records and tombstones of the active checkpoint when the writer was opened
+// with Options::delta (the caller drives BeginCheckpoint/ResolveEpoch and
+// checks DeltaReady), the full contents otherwise, then Finish. With
+// `parallel_for` the records are emitted per serialisation shard, one task
+// per shard, which needs a concurrent writer. The backend must be quiescent
+// or checkpoint-frozen for the duration.
+Result<ChunkStreamWriter::Stats> WriteEpoch(
+    ChunkStreamWriter& writer, const state::StateBackend& backend,
+    const ParallelFor& parallel_for = nullptr);
 
 }  // namespace sdg::checkpoint
 

@@ -16,20 +16,14 @@ Result<std::vector<std::vector<uint8_t>>> SerializeEpochBlobs(
   options.delta = delta;
   ChunkStreamWriter writer(
       [&blobs](uint32_t chunk_index, std::vector<uint8_t> segment) {
-        // Segments of one chunk_index concatenate into a valid streamed v2
+        // Segments of one chunk_index concatenate into a valid streamed
         // chunk blob (same contract the migration wire path relies on).
         auto& blob = blobs[chunk_index];
         blob.insert(blob.end(), segment.begin(), segment.end());
         return Status::Ok();
       },
       name, options);
-  SDG_RETURN_IF_ERROR(writer.Begin());
-  if (delta) {
-    backend.SerializeDirtyRecords(writer.AsDeltaSink());
-  } else {
-    backend.SerializeRecords(writer.AsSink());
-  }
-  SDG_RETURN_IF_ERROR(writer.Finish().status());
+  SDG_RETURN_IF_ERROR(WriteEpoch(writer, backend).status());
   return blobs;
 }
 

@@ -12,8 +12,8 @@
 // When the retained delta run grows past `max_deltas` the tail asks the
 // publisher (NeedsBase) to cut the next epoch as a full base, bounding both
 // replay length and memory. SerializeEpochBlobs turns a quiesced backend
-// into the chunk blobs the tail stores — the same streamed v2 chunk frames
-// the migration path ships, assembled in memory instead of written to the
+// into the chunk blobs the tail stores — the same streamed chunk frames the
+// migration path ships, assembled in memory instead of written to the
 // backup store.
 #ifndef SDG_CHECKPOINT_EPOCH_TAIL_H_
 #define SDG_CHECKPOINT_EPOCH_TAIL_H_
@@ -29,7 +29,7 @@
 
 namespace sdg::checkpoint {
 
-// Serialises `backend` into `num_chunks` in-memory chunk blobs (streamed v2
+// Serialises `backend` into `num_chunks` in-memory chunk blobs (streamed
 // frames). With `delta` set, emits the dirty records + tombstones of the
 // active checkpoint (the caller drives the Begin/End/Resolve protocol);
 // otherwise the full contents. The backend must be quiescent or checkpoint-

@@ -1499,9 +1499,8 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
 
   // Serialise + persist. For the synchronous modes, processing is paused for
   // this entire phase; for async-local the dirty overlays absorb writes.
-  // Streaming hands fixed-size segments to the backup store as records are
-  // serialised (bounded memory, I/O overlapped); the batch path materialises
-  // every chunk first (baseline).
+  // Each SE streams fixed-size segments to the backup store as its records
+  // are serialised (bounded memory, I/O overlapped).
   auto persist = [&]() -> Status {
     if (fault_injector_ != nullptr) {
       SDG_RETURN_IF_ERROR(
@@ -1511,99 +1510,35 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
       auto& cs = captured_states[i];
       const bool use_delta =
           meta.states[i].kind == checkpoint::EpochKind::kDelta;
-      uint64_t records = 0;
-      uint64_t tombstones = 0;
-      uint64_t bytes = 0;
-      if (ft.streaming_checkpoint) {
-        checkpoint::ChunkStreamWriter::Options wo;
-        wo.num_chunks = num_chunks;
-        wo.codec = ft.chunk_codec;
-        wo.delta = use_delta;
-        wo.segment_bytes = ft.ckpt_segment_bytes;
-        // Fan serialisation across the backend's shards: each stripe's
-        // records are disjoint and the writer's Add is thread-safe when
-        // concurrent, so the shards feed the same segment streams while the
-        // store overlaps I/O. Unsharded backends report one shard and stay
-        // serial.
-        const uint32_t nshards = cs.backend->SerializeShardCount();
-        const uint32_t fanout = std::min(CkptParallelism(ft), nshards);
-        wo.concurrent = fanout > 1;
-        checkpoint::ChunkStreamWriter writer(*store_, node, meta.epoch,
-                                             cs.name, wo);
-        SDG_RETURN_IF_ERROR(writer.Begin());
-        if (fanout > 1) {
-          auto sink = writer.AsSink();
-          auto delta_sink = writer.AsDeltaSink();
-          executor_->Parallel(
-              nshards,
-              [&](size_t s) {
-                if (use_delta) {
-                  cs.backend->SerializeShardDirtyRecords(
-                      static_cast<uint32_t>(s), delta_sink);
-                } else {
-                  cs.backend->SerializeShardRecords(static_cast<uint32_t>(s),
-                                                    sink);
-                }
-              },
-              fanout);
-        } else if (use_delta) {
-          cs.backend->SerializeDirtyRecords(writer.AsDeltaSink());
-        } else {
-          cs.backend->SerializeRecords(writer.AsSink());
-        }
-        SDG_ASSIGN_OR_RETURN(auto wstats, writer.Finish());
-        records = wstats.records;
-        tombstones = wstats.tombstones;
-        bytes = wstats.bytes;
-      } else {
-        state::ChunkOptions copts;
-        if (use_delta || ft.chunk_codec != state::kChunkCodecNone) {
-          copts.version = state::kChunkVersion2;
-          copts.codec = ft.chunk_codec;
-          copts.delta = use_delta;
-        }
-        std::vector<std::vector<uint8_t>> chunks;
-        if (use_delta) {
-          std::vector<state::ChunkBuilder> builders;
-          builders.reserve(num_chunks);
-          for (uint32_t c = 0; c < num_chunks; ++c) {
-            builders.emplace_back(cs.name, copts);
-          }
-          cs.backend->SerializeDirtyRecords(
-              [&](uint64_t key_hash, const uint8_t* payload, size_t size,
-                  bool tombstone) {
-                auto& b = builders[key_hash % num_chunks];
-                if (tombstone) {
-                  b.AddTombstone(key_hash, payload, size);
-                  ++tombstones;
-                } else {
-                  b.AddRecord(key_hash, payload, size);
-                }
-                ++records;
-              });
-          chunks.reserve(num_chunks);
-          for (auto& b : builders) {
-            chunks.push_back(std::move(b).Finish());
-          }
-        } else {
-          chunks =
-              state::SerializeToChunks(*cs.backend, cs.name, num_chunks, copts);
-          records = cs.backend->EntryCount();
-        }
-        for (const auto& c : chunks) {
-          bytes += c.size();
-        }
-        SDG_RETURN_IF_ERROR(
-            store_->WriteChunks(node, meta.epoch, cs.name, chunks));
+      checkpoint::ChunkStreamWriter::Options wo;
+      wo.num_chunks = num_chunks;
+      wo.codec = ft.chunk_codec;
+      wo.delta = use_delta;
+      // Fan serialisation across the backend's shards: each stripe's records
+      // are disjoint and the writer's Add is thread-safe when concurrent, so
+      // the shards feed the same segment streams while the store overlaps
+      // I/O. Unsharded backends report one shard and stay serial.
+      const uint32_t fanout =
+          std::min(CkptParallelism(ft), cs.backend->SerializeShardCount());
+      wo.concurrent = fanout > 1;
+      checkpoint::ChunkStreamWriter writer(*store_, node, meta.epoch, cs.name,
+                                           wo);
+      checkpoint::ParallelFor parallel_for;
+      if (fanout > 1) {
+        parallel_for = [&](size_t n, const std::function<void(size_t)>& fn) {
+          executor_->Parallel(n, fn, fanout);
+        };
       }
-      ckpt_bytes_.Increment(bytes);
-      ckpt_tombstones_.Increment(tombstones);
+      SDG_ASSIGN_OR_RETURN(
+          auto stats, checkpoint::WriteEpoch(writer, *cs.backend, parallel_for));
+      ckpt_bytes_.Increment(stats.bytes);
+      ckpt_tombstones_.Increment(stats.tombstones);
       if (use_delta) {
         ckpt_delta_se_.Increment();
-        ckpt_records_delta_.Increment(records);
+        ckpt_records_delta_.Increment(stats.records);
       } else {
         ckpt_full_se_.Increment();
-        ckpt_records_full_.Increment(records);
+        ckpt_records_full_.Increment(stats.records);
       }
     }
     for (auto* ti : captured_tasks) {

@@ -63,11 +63,6 @@ struct FaultToleranceOptions {
   // each node's NIC/memory bandwidth during restore: splitting a failed SE
   // across n nodes divides the bytes each must ingest (Fig. 4 / Fig. 11).
   uint64_t recovery_ingest_bytes_per_sec = 0;
-  // Streaming pipeline: hand fixed-size chunk segments to the backup store
-  // as SerializeRecords produces them, overlapping serialization with backup
-  // I/O under the store's backlog budget. false = materialise every chunk in
-  // memory, then write (the 2x-RSS baseline).
-  bool streaming_checkpoint = true;
   // Delta epochs: 0 = every epoch persists the full state. k > 0 caps each
   // base+delta chain at k epochs — a full base, then up to k-1 delta epochs
   // persisting only records changed/erased since the previous epoch.
@@ -75,10 +70,8 @@ struct FaultToleranceOptions {
   // Chunk compression codec (state::kChunkCodec*), carried per chunk and
   // decoded transparently on restore.
   uint8_t chunk_codec = 0;
-  // Segment size of the streaming pipeline.
-  size_t ckpt_segment_bytes = 256 * 1024;
-  // Threads fanning SerializeRecords across state shards on the streaming
-  // path (and chunk restores on recovery). 0 = auto (hardware concurrency,
+  // Threads fanning SerializeRecords across state shards on checkpoint (and
+  // chunk restores on recovery). 0 = auto (hardware concurrency,
   // capped at 8); 1 = serial. Sharded backends emit disjoint shards, so the
   // fan-out is safe for any value.
   uint32_t ckpt_parallelism = 0;

@@ -28,14 +28,6 @@ std::string PartName(const std::string& state, uint32_t partition) {
   return state + "." + std::to_string(partition);
 }
 
-state::ChunkOptions MigrateChunkOptions(bool delta) {
-  state::ChunkOptions o;
-  o.version = state::kChunkVersion2;
-  o.codec = state::kChunkCodecPrefix;
-  o.delta = delta;
-  return o;
-}
-
 uint64_t NowMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -309,20 +301,16 @@ Status ElasticWorker::Checkpoint() {
     meta.epoch = epoch;
     for (uint32_t p : owned_) {
       auto* backend = deployment_->StateInstance(options_.state, p);
-      std::vector<std::vector<uint8_t>> chunks;
       if (options_.serve_feed) {
-        // Cut the epoch under the backend's delta protocol so the same
-        // quiesced snapshot yields both the durable full chunks and the
-        // replica-feed blobs (delta when the dirty tracker covers the gap
-        // since the tail's last epoch, base otherwise).
+        // Cut the feed epoch under the backend's delta protocol: a delta when
+        // the dirty tracker covers the gap since the tail's last epoch, a
+        // base otherwise. The durable write below reads the same quiesced
+        // state.
         backend->BeginCheckpoint();
         bool delta = backend->DeltaReady() && !tails_[p]->NeedsBase();
         auto blobs = checkpoint::SerializeEpochBlobs(
             *backend, options_.state, kChunksPerPartition, delta,
             state::kChunkCodecPrefix);
-        chunks = state::SerializeToChunks(*backend, options_.state,
-                                          kChunksPerPartition,
-                                          MigrateChunkOptions(false));
         backend->EndCheckpoint();
         backend->ResolveEpoch(blobs.ok());
         if (blobs.ok()) {
@@ -344,18 +332,18 @@ Status ElasticWorker::Checkpoint() {
           publish.push_back(std::move(announce));
           publish.push_back(std::move(body));
         }
-      } else {
-        chunks = state::SerializeToChunks(*backend, options_.state,
-                                          kChunksPerPartition,
-                                          MigrateChunkOptions(false));
       }
-      SDG_RETURN_IF_ERROR(store_->WriteChunks(options_.member_id, epoch,
-                                              PartName(options_.state, p),
-                                              chunks));
+      // The durable epoch is always a full one, streamed into the store.
+      checkpoint::ChunkStreamWriter::Options wopts;
+      wopts.num_chunks = kChunksPerPartition;
+      wopts.codec = state::kChunkCodecPrefix;
+      checkpoint::ChunkStreamWriter writer(*store_, options_.member_id, epoch,
+                                           PartName(options_.state, p), wopts);
+      SDG_RETURN_IF_ERROR(checkpoint::WriteEpoch(writer, *backend).status());
       checkpoint::StateInstanceMeta sm;
       sm.state = 0;
       sm.instance = p;
-      sm.num_chunks = static_cast<uint32_t>(chunks.size());
+      sm.num_chunks = kChunksPerPartition;
       sm.record_count = backend->EntryCount();
       sm.kind = checkpoint::EpochKind::kFull;
       sm.base_epoch = epoch;
@@ -778,15 +766,7 @@ Status ElasticWorker::StreamEpoch(state::StateBackend& backend,
         return st;
       },
       options_.state, wopts);
-  SDG_RETURN_IF_ERROR(writer.Begin());
-  if (delta) {
-    backend.SerializeDirtyRecords(writer.AsDeltaSink());
-  } else {
-    backend.SerializeRecords(writer.AsSink());
-  }
-  SDG_ASSIGN_OR_RETURN(auto stats, writer.Finish());
-  (void)stats;
-  return Status::Ok();
+  return checkpoint::WriteEpoch(writer, backend).status();
 }
 
 Status ElasticWorker::AwaitMigrateAck(net::Socket& socket,
@@ -873,11 +853,8 @@ void ElasticWorker::HandleMigrateBegin(net::Socket& control,
     {
       std::scoped_lock op(op_mutex_);
       backend->BeginCheckpoint();
-      if (backend->DeltaReady()) {
-        st = StreamEpoch(*backend, session, /*delta=*/true, "migrate.delta");
-      } else {
-        st = StreamEpoch(*backend, session, /*delta=*/false, "migrate.delta");
-      }
+      st = StreamEpoch(*backend, session, backend->DeltaReady(),
+                       "migrate.delta");
       backend->EndCheckpoint();
       backend->ResolveEpoch(st.ok());
     }
@@ -956,13 +933,8 @@ void ElasticWorker::HandleCutover(net::Socket& control, uint32_t partition) {
       durable_.erase(si);
     }
     backend->BeginCheckpoint();
-    if (backend->DeltaReady()) {
-      st = StreamEpoch(*backend, session->socket, /*delta=*/true,
-                       "migrate.final");
-    } else {
-      st = StreamEpoch(*backend, session->socket, /*delta=*/false,
-                       "migrate.final");
-    }
+    st = StreamEpoch(*backend, session->socket, backend->DeltaReady(),
+                     "migrate.final");
     backend->EndCheckpoint();
     backend->ResolveEpoch(st.ok());
   }
@@ -1007,6 +979,11 @@ void ElasticWorker::HandleCutover(net::Socket& control, uint32_t partition) {
   backend->Clear();
   SDG_LOG(kInfo) << "worker " << options_.member_id << " migrated out p"
                  << partition;
+  // Make the hand-off durable: the latest epoch still claims the partition,
+  // and with received_ == durable_ the checkpoint loop would never cut a
+  // new one, so a restart would restore the claim. Outside the op lock:
+  // Checkpoint takes it.
+  (void)Checkpoint();
 }
 
 void ElasticWorker::OnMigrationSession(net::Socket socket,

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/common/logging.h"
 #include "src/common/serialize.h"
 #include "src/state/codec.h"
 
@@ -13,13 +12,11 @@ std::vector<uint8_t> BuildChunkHeader(const ChunkOptions& options,
                                       uint64_t record_count) {
   BinaryWriter w;
   w.Write<uint32_t>(kChunkMagic);
-  w.Write<uint32_t>(options.version);
+  w.Write<uint32_t>(kChunkVersion);
   w.WriteString(se_name);
   w.Write<uint64_t>(record_count);
-  if (options.version >= kChunkVersion2) {
-    w.Write<uint8_t>(options.codec);
-    w.Write<uint8_t>(options.delta ? kChunkFlagDelta : 0);
-  }
+  w.Write<uint8_t>(options.codec);
+  w.Write<uint8_t>(options.delta ? kChunkFlagDelta : 0);
   return std::move(w).TakeBuffer();
 }
 
@@ -27,16 +24,6 @@ void AppendRecordFrame(const ChunkOptions& options, uint64_t key_hash,
                        const uint8_t* payload, size_t size, bool tombstone,
                        std::vector<uint8_t>& out,
                        std::vector<uint8_t>& prev_payload) {
-  if (options.version < kChunkVersion2) {
-    SDG_CHECK(!tombstone) << "tombstone records need the v2 chunk frame";
-    uint64_t len = size;
-    size_t offset = out.size();
-    out.resize(offset + 2 * sizeof(uint64_t) + size);
-    std::memcpy(out.data() + offset, &key_hash, sizeof(uint64_t));
-    std::memcpy(out.data() + offset + sizeof(uint64_t), &len, sizeof(uint64_t));
-    std::memcpy(out.data() + offset + 2 * sizeof(uint64_t), payload, size);
-    return;
-  }
   size_t offset = out.size();
   out.resize(offset + sizeof(uint64_t) + 1);
   std::memcpy(out.data() + offset, &key_hash, sizeof(uint64_t));
@@ -57,14 +44,7 @@ void AppendRecordFrame(const ChunkOptions& options, uint64_t key_hash,
 }
 
 ChunkBuilder::ChunkBuilder(std::string se_name, ChunkOptions options)
-    : se_name_(std::move(se_name)), options_(options) {
-  SDG_CHECK(options_.version == kChunkVersion ||
-            options_.version == kChunkVersion2)
-      << "unknown chunk version";
-  SDG_CHECK(options_.version >= kChunkVersion2 ||
-            (options_.codec == kChunkCodecNone && !options_.delta))
-      << "codec/delta need the v2 chunk frame";
-}
+    : se_name_(std::move(se_name)), options_(options) {}
 
 void ChunkBuilder::AddRecord(uint64_t key_hash, const uint8_t* payload,
                              size_t size) {
@@ -103,40 +83,25 @@ Result<ChunkReader> ChunkReader::Open(const std::vector<uint8_t>& chunk) {
     return Status(StatusCode::kDataLoss, "bad chunk magic");
   }
   SDG_ASSIGN_OR_RETURN(uint32_t version, r.Read<uint32_t>());
-  if (version != kChunkVersion && version != kChunkVersion2) {
+  if (version != kChunkVersion) {
     return Status(StatusCode::kDataLoss, "unsupported chunk version");
   }
   SDG_ASSIGN_OR_RETURN(std::string se_name, r.ReadString());
   SDG_ASSIGN_OR_RETURN(uint64_t record_count, r.Read<uint64_t>());
   ChunkOptions options;
-  options.version = version;
-  if (version >= kChunkVersion2) {
-    SDG_ASSIGN_OR_RETURN(options.codec, r.Read<uint8_t>());
-    if (!ChunkCodecKnown(options.codec)) {
-      return Status(StatusCode::kDataLoss, "unknown chunk codec");
-    }
-    SDG_ASSIGN_OR_RETURN(uint8_t flags, r.Read<uint8_t>());
-    options.delta = (flags & kChunkFlagDelta) != 0;
+  SDG_ASSIGN_OR_RETURN(options.codec, r.Read<uint8_t>());
+  if (!ChunkCodecKnown(options.codec)) {
+    return Status(StatusCode::kDataLoss, "unknown chunk codec");
   }
+  SDG_ASSIGN_OR_RETURN(uint8_t flags, r.Read<uint8_t>());
+  options.delta = (flags & kChunkFlagDelta) != 0;
   return ChunkReader(std::move(se_name), record_count, options,
                      chunk.data() + r.position(), chunk.size() - r.position());
 }
 
 Status ChunkReader::ForEach(const ChunkRecordFn& fn) const {
   BinaryReader r(body_, body_size_);
-  if (options_.version < kChunkVersion2) {
-    for (uint64_t i = 0; i < record_count_; ++i) {
-      SDG_ASSIGN_OR_RETURN(uint64_t key_hash, r.Read<uint64_t>());
-      SDG_ASSIGN_OR_RETURN(uint64_t len, r.Read<uint64_t>());
-      if (r.remaining() < len) {
-        return Status(StatusCode::kDataLoss, "truncated chunk record");
-      }
-      fn({key_hash, body_ + r.position(), len, /*tombstone=*/false});
-      SDG_RETURN_IF_ERROR(r.Skip(len));
-    }
-    return Status::Ok();
-  }
-  // v2: iterate by count, or to the end of the body for streamed chunks.
+  // Iterate by count, or to the end of the body for streamed chunks.
   std::vector<uint8_t> scratch;  // materialised payload (prefix codec)
   uint64_t seen = 0;
   while (record_count_ == kStreamedRecordCount ? !r.AtEnd()
@@ -168,21 +133,6 @@ Status ChunkReader::ForEach(const ChunkRecordFn& fn) const {
     ++seen;
   }
   return Status::Ok();
-}
-
-Status ChunkReader::ForEachRecord(const RecordSink& fn) const {
-  Status tombstone_error;
-  SDG_RETURN_IF_ERROR(ForEach([&](const ChunkRecordView& rec) {
-    if (rec.tombstone) {
-      if (tombstone_error.ok()) {
-        tombstone_error = Status(StatusCode::kFailedPrecondition,
-                                 "delta chunk tombstone in a record-only walk");
-      }
-      return;
-    }
-    fn(rec.key_hash, rec.payload, rec.size);
-  }));
-  return tombstone_error;
 }
 
 Result<std::vector<std::vector<uint8_t>>> SplitChunk(
@@ -237,27 +187,6 @@ Status RestoreChunk(StateBackend& backend, const std::vector<uint8_t>& chunk) {
                            : backend.RestoreRecord(rec.payload, rec.size);
   }));
   return status;
-}
-
-std::vector<std::vector<uint8_t>> SerializeToChunks(const StateBackend& backend,
-                                                    std::string_view se_name,
-                                                    uint32_t m,
-                                                    ChunkOptions options) {
-  std::vector<ChunkBuilder> builders;
-  builders.reserve(m);
-  for (uint32_t i = 0; i < m; ++i) {
-    builders.emplace_back(std::string(se_name), options);
-  }
-  backend.SerializeRecords(
-      [&](uint64_t key_hash, const uint8_t* payload, size_t size) {
-        builders[key_hash % m].AddRecord(key_hash, payload, size);
-      });
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(m);
-  for (auto& b : builders) {
-    out.push_back(std::move(b).Finish());
-  }
-  return out;
 }
 
 }  // namespace sdg::state

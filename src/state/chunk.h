@@ -7,22 +7,21 @@
 // restore (step R1) *without* knowing the state's type or deserialising
 // payloads.
 //
-// v1 layout: [magic u32][version=1 u32][se_name string][record_count u64]
-//            then per record: [key_hash u64][payload_len u64][payload]
+// Layout: [magic u32][version=2 u32][se_name string][record_count u64]
+//         [codec u8][flags u8]
+//         then per record: [key_hash u64][record_flags u8]
+//                          [varint payload_len][payload bytes]
+//         With kChunkCodecPrefix the payload bytes are replaced by
+//         [varint shared_prefix_len][suffix]: the longest common prefix with
+//         the previous record's payload in the same chunk is elided.
+//         record_flags bit0 marks a tombstone — a record erased since the
+//         previous epoch, whose payload encodes only the key. A header
+//         record_count of kStreamedRecordCount means the chunk was streamed
+//         segment-by-segment and readers iterate to the end of the body
+//         instead of counting (checkpoint completeness is guaranteed by the
+//         epoch's meta record, which is written last).
 //
-// v2 layout: [magic u32][version=2 u32][se_name string][record_count u64]
-//            [codec u8][flags u8]
-//            then per record: [key_hash u64][record_flags u8]
-//                             [varint payload_len][payload bytes]
-//            With kChunkCodecPrefix the payload bytes are replaced by
-//            [varint shared_prefix_len][suffix]: the longest common prefix
-//            with the previous record's payload in the same chunk is elided.
-//            record_flags bit0 marks a tombstone — a record erased since the
-//            previous epoch, whose payload encodes only the key. A header
-//            record_count of kStreamedRecordCount means the chunk was
-//            streamed segment-by-segment and readers iterate to the end of
-//            the body instead of counting (checkpoint completeness is
-//            guaranteed by the epoch's meta record, which is written last).
+// Readers reject any other version with kDataLoss.
 #ifndef SDG_STATE_CHUNK_H_
 #define SDG_STATE_CHUNK_H_
 
@@ -37,24 +36,21 @@
 namespace sdg::state {
 
 inline constexpr uint32_t kChunkMagic = 0x53444743;  // "SDGC"
-inline constexpr uint32_t kChunkVersion = 1;
-inline constexpr uint32_t kChunkVersion2 = 2;
+inline constexpr uint32_t kChunkVersion = 2;
 
-// v2 header record_count for streamed chunks (exact count unknown until the
+// Header record_count for streamed chunks (exact count unknown until the
 // stream closes); readers walk the body to the end instead.
 inline constexpr uint64_t kStreamedRecordCount = ~0ull;
 
-// v2 header flags.
+// Header flags.
 inline constexpr uint8_t kChunkFlagDelta = 1;  // delta epoch: apply over a base
-// v2 per-record flags.
+// Per-record flags.
 inline constexpr uint8_t kRecordFlagTombstone = 1;
 
-// Frame parameters of one chunk. Defaults produce the v1 frame, byte-for-byte
-// what pre-delta checkpoints wrote; any v2 feature needs version 2.
+// Frame parameters of one chunk.
 struct ChunkOptions {
-  uint32_t version = kChunkVersion;
-  uint8_t codec = 0;   // kChunkCodec*; v2 only
-  bool delta = false;  // v2 only
+  uint8_t codec = 0;  // kChunkCodec*
+  bool delta = false;
 };
 
 // One parsed record, including delta-only attributes. `payload` is valid only
@@ -87,7 +83,7 @@ class ChunkBuilder {
   explicit ChunkBuilder(std::string se_name, ChunkOptions options = {});
 
   void AddRecord(uint64_t key_hash, const uint8_t* payload, size_t size);
-  // v2 only: records an erase (payload = encoded key) for a delta chunk.
+  // Records an erase (payload = encoded key) for a delta chunk.
   void AddTombstone(uint64_t key_hash, const uint8_t* payload, size_t size);
 
   // A RecordSink forwarding into this builder.
@@ -113,10 +109,8 @@ class ChunkReader {
   static Result<ChunkReader> Open(const std::vector<uint8_t>& chunk);
 
   const std::string& se_name() const { return se_name_; }
-  // Exact for v1 and materialised v2 chunks; kStreamedRecordCount for
-  // streamed chunks.
+  // Exact for built chunks; kStreamedRecordCount for streamed chunks.
   uint64_t record_count() const { return record_count_; }
-  uint32_t version() const { return options_.version; }
   uint8_t codec() const { return options_.codec; }
   bool is_delta() const { return options_.delta; }
   // Frame parameters, for re-encoding records into equivalent chunks
@@ -126,10 +120,6 @@ class ChunkReader {
   // Calls `fn` for every record, tombstones included. Compressed payloads are
   // materialised into internal scratch valid only during the call.
   Status ForEach(const ChunkRecordFn& fn) const;
-
-  // Legacy walk: calls `fn(key_hash, payload, size)` for every record. Fails
-  // on tombstones — pre-delta callers cannot represent an erase.
-  Status ForEachRecord(const RecordSink& fn) const;
 
  private:
   ChunkReader(std::string se_name, uint64_t record_count, ChunkOptions options,
@@ -148,8 +138,8 @@ class ChunkReader {
 };
 
 // Splits `chunk` into `n` chunks, assigning each record by key_hash % n.
-// Frame version, codec and the delta flag are preserved, so a delta chunk
-// splits into n delta chunks whose tombstones survive the split.
+// Codec and the delta flag are preserved, so a delta chunk splits into n
+// delta chunks whose tombstones survive the split.
 Result<std::vector<std::vector<uint8_t>>> SplitChunk(
     const std::vector<uint8_t>& chunk, uint32_t n);
 
@@ -161,15 +151,6 @@ Result<std::vector<uint8_t>> FilterChunk(const std::vector<uint8_t>& chunk,
 // Feeds every record of `chunk` into `backend`: RestoreRecord for live
 // records, RestoreErase for tombstones (delta chunks).
 Status RestoreChunk(StateBackend& backend, const std::vector<uint8_t>& chunk);
-
-// Serialises `backend` into `m` fully materialised chunks, records
-// distributed by key_hash % m (step B1 of the backup protocol). This is the
-// non-streaming baseline path; the checkpoint runtime streams via
-// checkpoint::ChunkStreamWriter instead.
-std::vector<std::vector<uint8_t>> SerializeToChunks(const StateBackend& backend,
-                                                    std::string_view se_name,
-                                                    uint32_t m,
-                                                    ChunkOptions options = {});
 
 }  // namespace sdg::state
 

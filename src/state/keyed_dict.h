@@ -914,10 +914,7 @@ class KeyedDict final : public StateBackend {
     if (was_spilled && sh.cold.empty()) {
       return false;  // nothing resident to shed
     }
-    ChunkOptions options;
-    options.version = kChunkVersion2;
-    options.codec = shards_.spill_config().codec;
-    ChunkBuilder builder("spill", options);
+    ChunkBuilder builder("spill", {.codec = shards_.spill_config().codec});
     if (was_spilled) {
       // Compaction: fold the cold overlay into a rewritten blob.
       WalkBlobRaw(s, [&](uint64_t key_hash, const K& k,
@@ -1016,10 +1013,7 @@ class KeyedDict final : public StateBackend {
                                   uint32_t num_parts, const RecordSink& sink) {
     auto& st = shards_.stripe(s);
     MapShard& sh = st.data;
-    ChunkOptions options;
-    options.version = kChunkVersion2;
-    options.codec = shards_.spill_config().codec;
-    ChunkBuilder keep("spill", options);
+    ChunkBuilder keep("spill", {.codec = shards_.spill_config().codec});
     WalkBlobRaw(s, [&](uint64_t key_hash, const K& k, const uint8_t* payload,
                        size_t size) {
       if (sh.cold.count(k) > 0) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 
@@ -96,6 +97,40 @@ TEST_F(BackupStoreTest, LatestEpochPicksHighest) {
   auto latest = store.LatestEpoch(0);
   ASSERT_TRUE(latest.ok());
   EXPECT_EQ(*latest, 5u);
+}
+
+// A crash mid-publish leaves a torn `<meta>.tmp` behind: it is not an epoch,
+// so the store still recovers to the last published one, and pruning past
+// it removes it.
+TEST_F(BackupStoreTest, LeftoverMetaTmpIsNotAnEpoch) {
+  BackupStore store(Options(1));
+  CheckpointMeta meta;
+  for (uint64_t e : {1, 2}) {
+    meta.epoch = e;
+    ASSERT_TRUE(store.WriteMeta(1, e, meta).ok());
+  }
+  meta.epoch = 3;
+  std::vector<uint8_t> torn = meta.ToBytes();
+  torn.resize(torn.size() / 2);
+  const fs::path tmp = dir_.path() / "meta" / "node1_epoch3.meta.tmp";
+  {
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(torn.data(), 1, torn.size(), f), torn.size());
+    std::fclose(f);
+  }
+  EXPECT_FALSE(fs::exists(dir_.path() / "meta" / "node1_epoch2.meta.tmp"))
+      << "a published meta leaves no temporary behind";
+
+  auto latest = store.LatestEpoch(1);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  EXPECT_EQ(*latest, 2u);
+  auto back = store.ReadMeta(1, 2);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->epoch, 2u);
+
+  store.PruneBefore(1, 4);
+  EXPECT_FALSE(fs::exists(tmp));
 }
 
 TEST_F(BackupStoreTest, LatestEpochOfUnknownNodeFails) {

@@ -287,6 +287,45 @@ class ElasticFixture : public ::testing::Test {
     return merged;
   }
 
+  // Every backup-store file (chunks and metas) of `member`, relative to the
+  // store root.
+  std::vector<std::filesystem::path> MemberFiles(uint32_t member) {
+    const std::string prefix = "node" + std::to_string(member) + "_epoch";
+    const auto store = root_ / "backup";
+    std::vector<std::filesystem::path> files;
+    for (const auto& e :
+         std::filesystem::recursive_directory_iterator(store)) {
+      if (e.is_regular_file() &&
+          e.path().filename().string().rfind(prefix, 0) == 0) {
+        files.push_back(std::filesystem::relative(e.path(), store));
+      }
+    }
+    return files;
+  }
+
+  // Copies `member`'s store files aside, to be put back by RestoreStore.
+  void SaveStore(uint32_t member) {
+    for (const auto& rel : MemberFiles(member)) {
+      std::filesystem::create_directories((root_ / "saved" / rel).parent_path());
+      std::filesystem::copy_file(root_ / "backup" / rel, root_ / "saved" / rel);
+    }
+  }
+
+  // Replaces `member`'s store files with the ones SaveStore copied aside.
+  void RestoreStore(uint32_t member) {
+    for (const auto& rel : MemberFiles(member)) {
+      std::filesystem::remove(root_ / "backup" / rel);
+    }
+    for (const auto& e :
+         std::filesystem::recursive_directory_iterator(root_ / "saved")) {
+      if (e.is_regular_file()) {
+        std::filesystem::copy_file(
+            e.path(),
+            root_ / "backup" / std::filesystem::relative(e.path(), root_ / "saved"));
+      }
+    }
+  }
+
   std::filesystem::path root_;
 };
 
@@ -399,6 +438,45 @@ TEST_F(ElasticFixture, RestartReplaysUnackedSuffix) {
   head.Stop();
 }
 
+// The source of a migration makes the hand-off durable: a restart from its
+// store must not bring the migrated partition back.
+TEST_F(ElasticFixture, MigratedOutPartitionStaysGoneAfterRestart) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  auto w2 = MakeWorker(2, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  uint32_t part = kPartitions;
+  for (uint32_t p = 0; p < kPartitions; ++p) {
+    if (head.OwnerOf(p) == 2) {
+      part = p;
+      break;
+    }
+  }
+  ASSERT_NE(part, kPartitions) << "w2 was assigned nothing";
+  for (int64_t k = 0; k < 100; ++k) {
+    ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value("v")}, 20000).ok());
+  }
+  ASSERT_TRUE(head.CheckpointAll().ok());  // w2's durable epoch claims `part`
+  ASSERT_TRUE(head.MigratePartition(part, 1).ok());
+
+  const uint16_t data_port = w2->data_port();
+  w2->Stop();  // joins the control thread, so the cutover has finished
+  w2 = MakeWorker(2, head.port(), data_port);
+  ASSERT_TRUE(w2->Start().ok());
+  auto owned = w2->OwnedPartitions();
+  EXPECT_EQ(std::find(owned.begin(), owned.end(), part), owned.end())
+      << "restart restored partition " << part << " it had migrated out";
+
+  w2->Stop();
+  w1->Stop();
+  head.Stop();
+}
+
 // A worker restarted from an epoch cut before it migrated a partition out
 // still claims that partition, so a migration back to it is rejected. The
 // head's release of that stale claim must leave the worker live: releasing
@@ -424,11 +502,16 @@ TEST_F(ElasticFixture, ReleaseOfStaleClaimKeepsWorkerLive) {
   }
   ASSERT_NE(part, kPartitions) << "w2 was assigned nothing";
   ASSERT_TRUE(head.CheckpointAll().ok());  // w2's durable epoch claims `part`
+  SaveStore(2);
   ASSERT_TRUE(head.MigratePartition(part, 1).ok());
 
-  // Restart w2 before it cuts another epoch: it restores the stale claim.
+  // The source checkpoints the hand-off right after the cutover; a crash
+  // before that checkpoint lands leaves the pre-migration epoch as w2's
+  // latest. Recreate that store, then restart w2: it restores the stale
+  // claim.
   const uint16_t data_port = w2->data_port();
   w2->Stop();
+  RestoreStore(2);
   w2 = MakeWorker(2, head.port(), data_port);
   ASSERT_TRUE(w2->Start().ok());
   ASSERT_TRUE(w2->WaitJoined(10000));

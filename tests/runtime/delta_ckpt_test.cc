@@ -45,7 +45,6 @@ Result<graph::Sdg> BuildKvGraph() {
 }
 
 ClusterOptions DeltaCluster(const std::filesystem::path& dir,
-                            bool streaming = true,
                             uint32_t delta_interval = 3) {
   ClusterOptions o;
   o.num_nodes = 3;
@@ -53,7 +52,6 @@ ClusterOptions DeltaCluster(const std::filesystem::path& dir,
   o.fault_tolerance.mode = FtMode::kAsyncLocal;
   o.fault_tolerance.checkpoint_interval_s = 0;  // manual checkpoints only
   o.fault_tolerance.chunks_per_state = 4;
-  o.fault_tolerance.streaming_checkpoint = streaming;
   o.fault_tolerance.delta_epoch_interval = delta_interval;
   o.fault_tolerance.chunk_codec = state::kChunkCodecPrefix;
   o.fault_tolerance.store.root = dir;
@@ -76,14 +74,11 @@ std::map<int64_t, int64_t> ReadAll(Deployment& d, int64_t num_keys) {
   return results;
 }
 
-class DeltaCkptTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(DeltaCkptTest, BaseDeltaChainRestoresAfterFailure) {
-  const bool streaming = GetParam();
+TEST(DeltaCkptTest, BaseDeltaChainRestoresAfterFailure) {
   ScopedTestDir dir("delta_ckpt");
   auto g = BuildKvGraph();
   ASSERT_TRUE(g.ok());
-  Cluster cluster(DeltaCluster(dir.path(), streaming));
+  Cluster cluster(DeltaCluster(dir.path()));
   auto d = cluster.Deploy(std::move(*g));
   ASSERT_TRUE(d.ok());
 
@@ -135,15 +130,11 @@ TEST_P(DeltaCkptTest, BaseDeltaChainRestoresAfterFailure) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(StreamingAndBatch, DeltaCkptTest,
-                         ::testing::Values(true, false));
-
 TEST(DeltaCkptTest2, FullBaseRewrittenWhenChainHitsInterval) {
   ScopedTestDir dir("delta_interval");
   auto g = BuildKvGraph();
   ASSERT_TRUE(g.ok());
-  Cluster cluster(DeltaCluster(dir.path(), /*streaming=*/true,
-                               /*delta_interval=*/2));
+  Cluster cluster(DeltaCluster(dir.path(), /*delta_interval=*/2));
   auto d = cluster.Deploy(std::move(*g));
   ASSERT_TRUE(d.ok());
 
@@ -198,8 +189,7 @@ TEST(DeltaCkptTest2, FullCheckpointsStillWorkWithDeltaDisabled) {
   ScopedTestDir dir("delta_off");
   auto g = BuildKvGraph();
   ASSERT_TRUE(g.ok());
-  Cluster cluster(DeltaCluster(dir.path(), /*streaming=*/true,
-                               /*delta_interval=*/0));
+  Cluster cluster(DeltaCluster(dir.path(), /*delta_interval=*/0));
   auto d = cluster.Deploy(std::move(*g));
   ASSERT_TRUE(d.ok());
 

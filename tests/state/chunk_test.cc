@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "src/checkpoint/epoch_tail.h"
 #include "src/state/codec.h"
 #include "src/state/keyed_dict.h"
 
 namespace sdg::state {
 namespace {
+
+// Full epoch of `backend` as `m` chunk blobs, the way checkpoints cut it.
+std::vector<std::vector<uint8_t>> EpochChunks(const StateBackend& backend,
+                                              uint32_t m) {
+  auto blobs = checkpoint::SerializeEpochBlobs(backend, "kv", m,
+                                               /*delta=*/false, kChunkCodecNone);
+  EXPECT_TRUE(blobs.ok()) << blobs.status().ToString();
+  return blobs.ok() ? std::move(*blobs) : std::vector<std::vector<uint8_t>>{};
+}
 
 TEST(ChunkTest, BuildAndRead) {
   ChunkBuilder b("mystate");
@@ -25,9 +36,12 @@ TEST(ChunkTest, BuildAndRead) {
   EXPECT_EQ(reader->record_count(), 2u);
 
   std::vector<std::pair<uint64_t, std::vector<uint8_t>>> records;
-  ASSERT_TRUE(reader->ForEachRecord([&](uint64_t h, const uint8_t* p, size_t n) {
-              records.emplace_back(h, std::vector<uint8_t>(p, p + n));
-            }).ok());
+  ASSERT_TRUE(reader->ForEach([&](const ChunkRecordView& rec) {
+                EXPECT_FALSE(rec.tombstone);
+                records.emplace_back(rec.key_hash,
+                                     std::vector<uint8_t>(
+                                         rec.payload, rec.payload + rec.size));
+              }).ok());
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].first, 100u);
   EXPECT_EQ(records[0].second, p1);
@@ -42,11 +56,23 @@ TEST(ChunkTest, EmptyChunkRoundTrips) {
   EXPECT_EQ(reader->record_count(), 0u);
 }
 
+// A well-formed header whose version field is `version`.
+std::vector<uint8_t> HeaderWithVersion(uint32_t version) {
+  auto chunk = BuildChunkHeader({}, "s", 0);
+  std::memcpy(chunk.data() + sizeof(uint32_t), &version, sizeof(version));
+  return chunk;
+}
+
 TEST(ChunkTest, OpenRejectsBadMagic) {
   std::vector<uint8_t> garbage{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12};
-  auto reader = ChunkReader::Open(garbage);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  ASSERT_TRUE(ChunkReader::Open(HeaderWithVersion(kChunkVersion)).ok());
+  // Version 1 is the retired codec-less frame.
+  for (const auto& bad :
+       {garbage, HeaderWithVersion(1), HeaderWithVersion(3)}) {
+    auto reader = ChunkReader::Open(bad);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(ChunkTest, SinkForwardsIntoBuilder) {
@@ -74,10 +100,10 @@ TEST(ChunkTest, SplitPreservesAllRecordsDisjointly) {
     auto reader = ChunkReader::Open((*parts)[i]);
     ASSERT_TRUE(reader.ok());
     total += reader->record_count();
-    ASSERT_TRUE(reader->ForEachRecord([&](uint64_t h, const uint8_t* p, size_t n) {
-                EXPECT_EQ(h % 3, i);  // routed to the right sub-chunk
-                ASSERT_EQ(n, 1u);
-                seen.insert(p[0]);
+    ASSERT_TRUE(reader->ForEach([&](const ChunkRecordView& rec) {
+                EXPECT_EQ(rec.key_hash % 3, i);  // routed to the right sub-chunk
+                ASSERT_EQ(rec.size, 1u);
+                seen.insert(rec.payload[0]);
               }).ok());
   }
   EXPECT_EQ(total, 100u);
@@ -95,18 +121,18 @@ TEST(ChunkTest, FilterKeepsOnlyOnePartition) {
   ASSERT_TRUE(filtered.ok());
   auto reader = ChunkReader::Open(*filtered);
   ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE(reader->ForEachRecord([&](uint64_t h, const uint8_t*, size_t) {
-              EXPECT_EQ(h % 4, 1u);
-            }).ok());
+  ASSERT_TRUE(reader->ForEach([&](const ChunkRecordView& rec) {
+                EXPECT_EQ(rec.key_hash % 4, 1u);
+              }).ok());
   EXPECT_EQ(reader->record_count(), 13u);  // hashes 1,5,9,...,49
 }
 
-TEST(ChunkTest, SerializeToChunksAndRestoreEndToEnd) {
+TEST(ChunkTest, SerializeEpochBlobsAndRestoreEndToEnd) {
   KeyedDict<int64_t, int64_t> source;
   for (int64_t i = 0; i < 1000; ++i) {
     source.Put(i, i * i);
   }
-  auto chunks = SerializeToChunks(source, "kv", 4);
+  auto chunks = EpochChunks(source, 4);
   ASSERT_EQ(chunks.size(), 4u);
 
   KeyedDict<int64_t, int64_t> restored;
@@ -125,7 +151,7 @@ TEST(ChunkTest, MToNRoundTrip) {
   for (int64_t i = 0; i < 500; ++i) {
     source.Put(i, i + 1);
   }
-  auto backup_chunks = SerializeToChunks(source, "kv", 2);
+  auto backup_chunks = EpochChunks(source, 2);
 
   constexpr uint32_t kN = 3;
   std::vector<KeyedDict<int64_t, int64_t>> recovered(kN);
@@ -154,14 +180,10 @@ TEST(ChunkTest, MToNRoundTrip) {
   }
 }
 
-// --- v2 frame: codec, tombstones, streamed chunks ---------------------------
+// --- Codec, tombstones, streamed chunks -------------------------------------
 
-ChunkOptions V2Options(uint8_t codec, bool delta) {
-  ChunkOptions o;
-  o.version = kChunkVersion2;
-  o.codec = codec;
-  o.delta = delta;
-  return o;
+ChunkOptions FrameOptions(uint8_t codec, bool delta) {
+  return ChunkOptions{.codec = codec, .delta = delta};
 }
 
 TEST(ChunkV2Test, PrefixCodecRoundTripsAndShrinksSharedPrefixes) {
@@ -173,8 +195,8 @@ TEST(ChunkV2Test, PrefixCodecRoundTripsAndShrinksSharedPrefixes) {
     payloads.push_back(std::move(p));
   }
 
-  ChunkBuilder plain("s", V2Options(kChunkCodecNone, false));
-  ChunkBuilder packed("s", V2Options(kChunkCodecPrefix, false));
+  ChunkBuilder plain("s", FrameOptions(kChunkCodecNone, false));
+  ChunkBuilder packed("s", FrameOptions(kChunkCodecPrefix, false));
   for (uint64_t i = 0; i < payloads.size(); ++i) {
     plain.AddRecord(i, payloads[i].data(), payloads[i].size());
     packed.AddRecord(i, payloads[i].data(), payloads[i].size());
@@ -185,7 +207,6 @@ TEST(ChunkV2Test, PrefixCodecRoundTripsAndShrinksSharedPrefixes) {
 
   auto reader = ChunkReader::Open(packed_chunk);
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->version(), kChunkVersion2);
   EXPECT_EQ(reader->codec(), kChunkCodecPrefix);
   size_t i = 0;
   ASSERT_TRUE(reader->ForEach([&](const ChunkRecordView& rec) {
@@ -198,8 +219,8 @@ TEST(ChunkV2Test, PrefixCodecRoundTripsAndShrinksSharedPrefixes) {
   EXPECT_EQ(i, payloads.size());
 }
 
-TEST(ChunkV2Test, TombstonesRoundTripAndRejectLegacyWalk) {
-  ChunkBuilder b("s", V2Options(kChunkCodecNone, /*delta=*/true));
+TEST(ChunkV2Test, TombstonesRoundTrip) {
+  ChunkBuilder b("s", FrameOptions(kChunkCodecNone, /*delta=*/true));
   uint8_t live = 1, dead = 2;
   b.AddRecord(10, &live, 1);
   b.AddTombstone(20, &dead, 1);
@@ -215,14 +236,10 @@ TEST(ChunkV2Test, TombstonesRoundTripAndRejectLegacyWalk) {
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], (std::pair<uint64_t, bool>{10, false}));
   EXPECT_EQ(seen[1], (std::pair<uint64_t, bool>{20, true}));
-
-  // Pre-delta callers cannot represent an erase.
-  Status s = reader->ForEachRecord([](uint64_t, const uint8_t*, size_t) {});
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ChunkV2Test, SplitPreservesOptionsAndTombstones) {
-  ChunkBuilder b("s", V2Options(kChunkCodecPrefix, /*delta=*/true));
+  ChunkBuilder b("s", FrameOptions(kChunkCodecPrefix, /*delta=*/true));
   for (uint64_t h = 0; h < 60; ++h) {
     std::vector<uint8_t> p(20, 0x11);
     p.push_back(static_cast<uint8_t>(h));
@@ -240,7 +257,6 @@ TEST(ChunkV2Test, SplitPreservesOptionsAndTombstones) {
   for (uint32_t i = 0; i < 3; ++i) {
     auto reader = ChunkReader::Open((*parts)[i]);
     ASSERT_TRUE(reader.ok());
-    EXPECT_EQ(reader->version(), kChunkVersion2);
     EXPECT_EQ(reader->codec(), kChunkCodecPrefix);
     EXPECT_TRUE(reader->is_delta());
     ASSERT_TRUE(reader->ForEach([&](const ChunkRecordView& rec) {
@@ -258,7 +274,7 @@ TEST(ChunkV2Test, SplitPreservesOptionsAndTombstones) {
 }
 
 TEST(ChunkV2Test, FilterKeepsPartitionTombstones) {
-  ChunkBuilder b("s", V2Options(kChunkCodecNone, /*delta=*/true));
+  ChunkBuilder b("s", FrameOptions(kChunkCodecNone, /*delta=*/true));
   uint8_t p = 0;
   for (uint64_t h = 0; h < 40; ++h) {
     if (h % 2 == 0) {
@@ -285,7 +301,7 @@ TEST(ChunkV2Test, FilterKeepsPartitionTombstones) {
 TEST(ChunkV2Test, StreamedSentinelWalksBodyToEnd) {
   // A streamed chunk is framed segment-by-segment: header first (count
   // unknown), record frames appended after.
-  ChunkOptions opts = V2Options(kChunkCodecPrefix, false);
+  ChunkOptions opts = FrameOptions(kChunkCodecPrefix, false);
   auto chunk = BuildChunkHeader(opts, "s", kStreamedRecordCount);
   std::vector<uint8_t> prev;
   std::vector<std::vector<uint8_t>> payloads;
@@ -311,7 +327,7 @@ TEST(ChunkV2Test, StreamedSentinelWalksBodyToEnd) {
 }
 
 TEST(ChunkV2Test, TruncatedV2BodyFailsCleanly) {
-  ChunkBuilder b("s", V2Options(kChunkCodecPrefix, false));
+  ChunkBuilder b("s", FrameOptions(kChunkCodecPrefix, false));
   std::vector<uint8_t> p(32, 0x42);
   b.AddRecord(1, p.data(), p.size());
   b.AddRecord(2, p.data(), p.size());
@@ -323,14 +339,14 @@ TEST(ChunkV2Test, TruncatedV2BodyFailsCleanly) {
   EXPECT_FALSE(s.ok());
 }
 
-TEST(ChunkV2Test, MixedV1V2RestoreAppliesTombstones) {
-  // A v1 full base followed by a v2 delta epoch: the delta's tombstone erases
-  // a base key and its record overwrites another.
+TEST(ChunkV2Test, BaseThenDeltaRestoreAppliesTombstones) {
+  // A streamed full base followed by a built delta epoch: the delta's
+  // tombstone erases a base key and its record overwrites another.
   KeyedDict<int64_t, int64_t> base;
   for (int64_t i = 0; i < 100; ++i) {
     base.Put(i, i);
   }
-  auto base_chunks = SerializeToChunks(base, "kv", 2);  // v1 frame
+  auto base_chunks = EpochChunks(base, 2);
 
   KeyedDict<int64_t, int64_t> next;
   next.EnableDeltaTracking();
@@ -343,7 +359,7 @@ TEST(ChunkV2Test, MixedV1V2RestoreAppliesTombstones) {
   next.Put(7, 700);
   next.Erase(13);
   next.BeginCheckpoint();
-  ChunkBuilder delta("kv", V2Options(kChunkCodecPrefix, /*delta=*/true));
+  ChunkBuilder delta("kv", FrameOptions(kChunkCodecPrefix, /*delta=*/true));
   next.SerializeDirtyRecords([&](uint64_t h, const uint8_t* pl, size_t n,
                                  bool tomb) {
     if (tomb) {

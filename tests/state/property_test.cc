@@ -12,8 +12,10 @@
 #include <map>
 #include <optional>
 
+#include "src/checkpoint/epoch_tail.h"
 #include "src/common/rng.h"
 #include "src/state/chunk.h"
+#include "src/state/codec.h"
 #include "src/state/keyed_dict.h"
 #include "src/state/sparse_matrix.h"
 #include "src/state/vector_state.h"
@@ -109,10 +111,13 @@ TEST_P(DictPropertyTest, ChunkSplitRestoreIdentity) {
   uint32_t n = 1 + static_cast<uint32_t>(rng.NextBounded(6));
 
   // P3: m chunks, each split n ways, restored into n instances, reassembled.
-  auto chunks = SerializeToChunks(dict, "prop", m);
-  ASSERT_EQ(chunks.size(), m);
+  auto chunks = checkpoint::SerializeEpochBlobs(dict, "prop", m,
+                                                /*delta=*/false,
+                                                kChunkCodecPrefix);
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  ASSERT_EQ(chunks->size(), m);
   std::vector<KeyedDict<int64_t, int64_t>> nodes(n);
-  for (const auto& chunk : chunks) {
+  for (const auto& chunk : *chunks) {
     auto parts = SplitChunk(chunk, n);
     ASSERT_TRUE(parts.ok());
     for (uint32_t i = 0; i < n; ++i) {
