@@ -8,7 +8,12 @@
 //     bytes/epoch for both and the full/delta ratio (the headline win of
 //     incremental checkpointing).
 //
-//  2. Streaming checkpoint wall time under a per-backup-node write throttle
+//  2. The same comparison for an elastic worker's epochs: the first
+//     checkpoint is each partition's base, every later one a delta link of
+//     its durable chain. Reports the chunk bytes of the base epoch and of
+//     each chained delta epoch and their ratio within the run.
+//
+//  3. Streaming checkpoint wall time under a per-backup-node write throttle
 //     that models the paper's disk-bound regime: the checkpoint overlaps
 //     SerializeRecords with backup I/O segment-by-segment. Also reports the
 //     foreground ingest rate measured while the checkpoint runs (async-local
@@ -25,8 +30,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/apps/kv.h"
+#include "src/checkpoint/backup_store.h"
 #include "src/graph/sdg.h"
 #include "src/runtime/cluster.h"
+#include "src/runtime/elastic.h"
 #include "src/state/codec.h"
 #include "src/state/keyed_dict.h"
 
@@ -142,6 +150,108 @@ EpochCost MeasureEpochs(const std::string& tag, int64_t keys, double rate,
   return c;
 }
 
+struct WorkerEpochs {
+  double full_bytes = 0;
+  double delta_bytes = 0;  // per chained delta epoch
+  double delta_wall_ms = 0;
+};
+
+// Chunk bytes of member 1's chain link `link` for SE instance `sm`.
+uint64_t LinkBytes(const std::filesystem::path& backup,
+                   const checkpoint::StateInstanceMeta& sm,
+                   const checkpoint::ChainLink& link) {
+  const std::string prefix =
+      "node1_epoch" + std::to_string(link.epoch) + "_" +
+      checkpoint::StateChunkName(sm.state, sm.instance) + "_chunk";
+  uint64_t bytes = 0;
+  std::error_code ec;
+  for (auto it = std::filesystem::recursive_directory_iterator(backup, ec);
+       !ec && it != std::filesystem::recursive_directory_iterator();
+       it.increment(ec)) {
+    if (it->is_regular_file(ec) &&
+        it->path().filename().string().rfind(prefix, 0) == 0) {
+      bytes += it->file_size(ec);
+    }
+  }
+  return bytes;
+}
+
+// Member 1's latest meta in the store under `backup`.
+checkpoint::CheckpointMeta LatestMeta(const std::filesystem::path& backup) {
+  checkpoint::BackupStoreOptions o;
+  o.root = backup;
+  checkpoint::BackupStore store(o);
+  auto epoch = store.LatestEpoch(1);
+  if (!epoch.ok()) {
+    return {};
+  }
+  auto meta = store.ReadMeta(1, *epoch);
+  return meta.ok() ? *meta : checkpoint::CheckpointMeta{};
+}
+
+// An elastic worker (4 partitions, assigned by an in-process head) loaded
+// with `keys`, checkpointed once (the base), then `epochs` times after
+// updating `rate` of the keys each.
+WorkerEpochs MeasureWorkerEpochs(int64_t keys, double rate, int epochs) {
+  constexpr uint32_t kPartitions = 4;
+  auto dir = FreshBenchDir("ckpt_worker");
+  const std::string backup = (dir / "backup").string();
+  elastic::ElasticHeadOptions h;
+  h.state = "store";
+  h.partitions = kPartitions;
+  h.entries = {"put", "del"};
+  h.backup_root = backup;
+  elastic::ElasticHead head(std::move(h));
+  apps::KvOptions kv;
+  kv.partitions = kPartitions;
+  auto g = apps::BuildKvSdg(kv);
+  WorkerEpochs out;
+  if (!g.ok() || !head.Start().ok()) {
+    std::fprintf(stderr, "worker epochs: set-up failed\n");
+    return out;
+  }
+  elastic::ElasticWorkerOptions w;
+  w.member_id = 1;
+  w.head_port = head.port();
+  w.state = "store";
+  w.partitions = kPartitions;
+  w.entries = {"put", "del"};
+  w.backup_root = backup;
+  elastic::ElasticWorker worker(std::move(*g), std::move(w));
+  if (!worker.Start().ok() || !worker.WaitJoined(20000) ||
+      !head.WaitForAssignment(20000)) {
+    std::fprintf(stderr, "worker epochs: worker never joined\n");
+    return out;
+  }
+  runtime::Deployment& d = *worker.deployment();
+  LoadKeys(d, keys, /*rev=*/0);
+  // The partitions' chains start with an empty base cut at assignment, so
+  // the epoch carrying the load may be a delta; the chain rule re-bases the
+  // one after it.
+  (void)worker.Checkpoint();
+  (void)worker.Checkpoint();
+  for (const auto& sm : LatestMeta(backup).states) {
+    out.full_bytes +=
+        static_cast<double>(LinkBytes(backup, sm, sm.chain.front()));
+  }
+  std::mt19937_64 rng(42);
+  for (int e = 0; e < epochs; ++e) {
+    UpdateSample(d, keys, rate, /*rev=*/e + 1, rng);
+    Stopwatch timer;
+    (void)worker.Checkpoint();
+    out.delta_wall_ms += timer.ElapsedSeconds() * 1e3 / epochs;
+    for (const auto& sm : LatestMeta(backup).states) {
+      out.delta_bytes +=
+          static_cast<double>(LinkBytes(backup, sm, sm.chain.back())) /
+          epochs;
+    }
+  }
+  worker.Stop();
+  head.Stop();
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
 struct CkptRun {
   double wall_ms = 0;
   double items_per_sec_during = 0;
@@ -244,6 +354,23 @@ int main() {
     json.Add("wall_ms", delta.wall_ms);
     json.Add("full_over_delta_bytes", ratio);
   }
+
+  auto worker = MeasureWorkerEpochs(keys, 0.01, epochs);
+  const double worker_ratio =
+      worker.delta_bytes > 0 ? worker.full_bytes / worker.delta_bytes : 0;
+  std::printf("  worker epoch (1%%):     %10.0f bytes base  %10.0f bytes/delta"
+              "  %7.1f ms  (full/delta bytes: %.1fx)\n",
+              worker.full_bytes, worker.delta_bytes, worker.delta_wall_ms,
+              worker_ratio);
+  json.BeginRow();
+  json.Add("config", std::string("worker_epoch_1pct"));
+  json.Add("keys", static_cast<uint64_t>(keys));
+  json.Add("hw_threads", HwThreads());
+  json.Add("update_rate", 0.01);
+  json.Add("full_bytes_per_epoch", worker.full_bytes);
+  json.Add("delta_bytes_per_epoch", worker.delta_bytes);
+  json.Add("delta_wall_ms", worker.delta_wall_ms);
+  json.Add("worker_full_over_delta_bytes", worker_ratio);
 
   auto stream = MeasureCheckpointWall("stream", keys, throttle);
   std::printf("  streaming:    %7.1f ms  fg %8.0f items/s during ckpt\n",

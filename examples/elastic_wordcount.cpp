@@ -29,8 +29,8 @@
 #include <thread>
 
 #include "src/checkpoint/backup_store.h"
+#include "src/checkpoint/chunk_stream.h"
 #include "src/runtime/elastic.h"
-#include "src/state/chunk.h"
 #include "src/state/keyed_dict.h"
 
 namespace {
@@ -190,23 +190,14 @@ int main(int argc, char** argv) {
                    meta.status().ToString().c_str());
       return 1;
     }
-    uint32_t num_chunks = 0;
-    for (const auto& sm : meta->states) {
-      if (sm.instance == p) {
-        num_chunks = sm.num_chunks;
-      }
-    }
-    auto chunks = store.ReadChunks(owner, *epoch,
-                                   "counts." + std::to_string(p), num_chunks);
-    if (!chunks.ok()) {
-      std::fprintf(stderr, "chunks p%u: %s\n", p,
-                   chunks.status().ToString().c_str());
-      return 1;
-    }
     sdg::state::KeyedDict<std::string, int64_t> dict;
-    for (const auto& blob : *chunks) {
-      if (!sdg::state::RestoreChunk(dict, blob).ok()) {
-        std::fprintf(stderr, "restore p%u failed\n", p);
+    for (const auto& sm : meta->states) {
+      if (sm.instance != p) {
+        continue;
+      }
+      auto st = sdg::checkpoint::RestoreChain(store, owner, sm, dict);
+      if (!st.ok()) {
+        std::fprintf(stderr, "restore p%u: %s\n", p, st.ToString().c_str());
         return 1;
       }
     }

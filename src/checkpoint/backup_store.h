@@ -93,12 +93,27 @@ class BackupStore {
   Status WriteMeta(uint32_t node, uint64_t epoch, const CheckpointMeta& meta);
   Result<CheckpointMeta> ReadMeta(uint32_t node, uint64_t epoch);
 
-  // Highest epoch for which a complete meta record exists for `node`.
+  // Newest epoch of `node` that a restart can restore: its published meta
+  // decodes and every link of every state chain in it has all its chunk
+  // files (named by StateChunkName). A torn or undecodable meta, or one
+  // whose chain lost a file, is skipped with a warning, so recovery falls
+  // back to the previous restorable epoch instead of stopping.
   Result<uint64_t> LatestEpoch(uint32_t node);
 
   // Removes every epoch of `node` older than `keep_epoch`, including meta
-  // records a crash left unpublished (`.meta.tmp`).
+  // records a crash left unpublished (`.meta.tmp`) — except, when the newest
+  // published meta is damaged, the epoch LatestEpoch falls back to: its meta
+  // and the chunks of every epoch its chains reach back to stay.
   void PruneBefore(uint32_t node, uint64_t keep_epoch);
+
+  // The one chain-restore loop: reads SE instance `sm`'s base+delta chain
+  // link by link, base first, and hands each link's chunks to `apply`
+  // before reading the next, so a delta never overtakes the epoch it
+  // extends.
+  using LinkFn =
+      std::function<Status(std::vector<std::vector<uint8_t>> chunks)>;
+  Status ReadChain(uint32_t node, const StateInstanceMeta& sm,
+                   const LinkFn& apply);
 
   uint32_t num_backup_nodes() const { return options_.num_backup_nodes; }
 
@@ -121,6 +136,11 @@ class BackupStore {
                                   uint64_t epoch, const std::string& name,
                                   uint32_t chunk_index) const;
   std::filesystem::path MetaPath(uint32_t node, uint64_t epoch) const;
+
+  // Published meta epochs of `node`, newest first.
+  std::vector<uint64_t> PublishedEpochs(uint32_t node) const;
+  // The meta of (node, epoch) if it decodes and its chains are complete.
+  Result<CheckpointMeta> ReadRestorableMeta(uint32_t node, uint64_t epoch);
 
   // Writes queued segments of `st` until its queue drains (I/O pool).
   void DrainStream(ChunkStreamState* st);

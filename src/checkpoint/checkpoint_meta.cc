@@ -2,6 +2,10 @@
 
 namespace sdg::checkpoint {
 
+std::string StateChunkName(uint32_t state, uint32_t instance) {
+  return "se" + std::to_string(state) + "_" + std::to_string(instance);
+}
+
 uint64_t CheckpointMeta::MinChainEpoch() const {
   uint64_t min_epoch = epoch;
   for (const auto& s : states) {

@@ -8,6 +8,7 @@
 #ifndef SDG_CHECKPOINT_CHECKPOINT_META_H_
 #define SDG_CHECKPOINT_CHECKPOINT_META_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -58,6 +59,55 @@ struct StateInstanceMeta {
   EpochKind kind = EpochKind::kFull;
   uint64_t base_epoch = 0;
   std::vector<ChainLink> chain;
+};
+
+// Store name of SE instance (`state`, `instance`)'s chunks. Every writer of
+// chained state epochs names them this way, so a meta alone locates each
+// link's chunk files.
+std::string StateChunkName(uint32_t state, uint32_t instance);
+
+// One SE instance's committed base+delta chain, as its writer tracks it, and
+// the one rule that decides when the next epoch re-bases: when there is no
+// chain to extend, when it is kMaxLinks long, or when the delta bytes
+// retained since the base have reached the base's own bytes (replaying the
+// chain would then cost more than a fresh base). The elastic worker's
+// durable chains and the replica feed's EpochTail both follow it, so they
+// re-base at the same epoch.
+class DeltaChain {
+ public:
+  static constexpr size_t kMaxLinks = 64;
+
+  bool NeedsBase() const {
+    return links_.empty() || links_.size() >= kMaxLinks ||
+           delta_bytes_ >= base_bytes_;
+  }
+
+  // Appends a committed epoch of `bytes` serialised bytes; a full link
+  // starts a new chain.
+  void Push(const ChainLink& link, uint64_t bytes) {
+    if (link.kind == EpochKind::kFull) {
+      links_.clear();
+      base_bytes_ = bytes;
+      delta_bytes_ = 0;
+    } else {
+      delta_bytes_ += bytes;
+    }
+    links_.push_back(link);
+  }
+
+  void Clear() {
+    links_.clear();
+    base_bytes_ = 0;
+    delta_bytes_ = 0;
+  }
+
+  bool empty() const { return links_.empty(); }
+  const std::vector<ChainLink>& links() const { return links_; }
+
+ private:
+  std::vector<ChainLink> links_;
+  uint64_t base_bytes_ = 0;
+  uint64_t delta_bytes_ = 0;
 };
 
 struct CheckpointMeta {

@@ -166,4 +166,16 @@ Result<ChunkStreamWriter::Stats> WriteEpoch(
   return writer.Finish();
 }
 
+Status RestoreChain(BackupStore& store, uint32_t node,
+                    const StateInstanceMeta& sm, state::StateBackend& backend) {
+  return store.ReadChain(
+      node, sm,
+      [&backend](std::vector<std::vector<uint8_t>> chunks) -> Status {
+        for (const auto& chunk : chunks) {
+          SDG_RETURN_IF_ERROR(state::RestoreChunk(backend, chunk));
+        }
+        return Status::Ok();
+      });
+}
+
 }  // namespace sdg::checkpoint

@@ -138,6 +138,12 @@ Result<ChunkStreamWriter::Stats> WriteEpoch(
     ChunkStreamWriter& writer, const state::StateBackend& backend,
     const ParallelFor& parallel_for = nullptr);
 
+// WriteEpoch's inverse over a whole chain: restores SE instance `sm` of
+// `node` from `store` into `backend`, base first, each link's chunks in
+// order (BackupStore::ReadChain).
+Status RestoreChain(BackupStore& store, uint32_t node,
+                    const StateInstanceMeta& sm, state::StateBackend& backend);
+
 }  // namespace sdg::checkpoint
 
 #endif  // SDG_CHECKPOINT_CHUNK_STREAM_H_

@@ -1,20 +1,23 @@
 // EpochTail: the delta-checkpoint fan-out buffer feeding read replicas.
 //
-// The worker already cuts checkpoint epochs (full bases or dirty-record
-// deltas) for durability; the serve path re-uses the same serialized bytes
-// as a replication stream. Per partition, the tail retains the latest base
-// epoch plus every delta cut since it, so that
+// The worker cuts each checkpoint epoch once (a full base or a dirty-record
+// delta) and the same serialized bytes go to the backup store as a chain
+// link and to the serve path as a replication stream. Per partition, the
+// tail retains the latest base epoch plus every delta cut since it — the
+// in-memory mirror of the partition's durable chain — so that
 //
-//   - a live subscriber receives each epoch once, in order, and
+//   - a live subscriber receives each epoch once, in order, as a delta (a
+//     base only on ownership change), and
 //   - a (re)connecting subscriber replays base + deltas and is caught up
 //     without the owner re-serializing anything.
 //
-// When the retained delta run grows past `max_deltas` the tail asks the
-// publisher (NeedsBase) to cut the next epoch as a full base, bounding both
-// replay length and memory. SerializeEpochBlobs turns a quiesced backend
-// into the chunk blobs the tail stores — the same streamed chunk frames the
-// migration path ships, assembled in memory instead of written to the
-// backup store.
+// The tail re-bases by DeltaChain's rule (checkpoint_meta.h): once the
+// retained delta bytes reach the base's bytes, or the run is
+// DeltaChain::kMaxLinks long, NeedsBase asks for the next epoch as a full
+// base. That bounds replay length, and memory at about twice a base.
+// SerializeEpochBlobs turns a checkpoint-frozen backend into the chunk blobs
+// the tail stores — the same streamed chunk frames the migration path ships,
+// assembled in memory.
 #ifndef SDG_CHECKPOINT_EPOCH_TAIL_H_
 #define SDG_CHECKPOINT_EPOCH_TAIL_H_
 
@@ -24,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/checkpoint/checkpoint_meta.h"
 #include "src/common/status.h"
 #include "src/state/state_backend.h"
 
@@ -38,6 +42,12 @@ Result<std::vector<std::vector<uint8_t>>> SerializeEpochBlobs(
     const state::StateBackend& backend, const std::string& name,
     uint32_t num_chunks, bool delta, uint8_t codec);
 
+inline uint64_t BlobBytes(const std::vector<std::vector<uint8_t>>& chunks) {
+  uint64_t bytes = 0;
+  for (const auto& c : chunks) bytes += c.size();
+  return bytes;
+}
+
 class EpochTail {
  public:
   struct Entry {
@@ -46,20 +56,17 @@ class EpochTail {
     std::vector<std::vector<uint8_t>> chunks;
   };
 
-  explicit EpochTail(size_t max_deltas = 8) : max_deltas_(max_deltas) {}
-
-  // True when the next published epoch must be a full base: nothing retained
-  // yet, or the delta run since the last base is at its cap.
+  // True when the next published epoch must be a full base (DeltaChain's
+  // rule over the retained entries).
   bool NeedsBase() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return entries_.empty() || deltas_ >= max_deltas_;
+    return chain_.NeedsBase();
   }
 
   void PushBase(uint64_t epoch, std::vector<std::vector<uint8_t>> chunks) {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    deltas_ = 0;
-    entries_.push_back(Entry{epoch, /*base=*/true, std::move(chunks)});
+    Push(Entry{epoch, /*base=*/true, std::move(chunks)});
   }
 
   // False when the tail has no base to anchor the delta (the caller should
@@ -68,8 +75,7 @@ class EpochTail {
   bool PushDelta(uint64_t epoch, std::vector<std::vector<uint8_t>> chunks) {
     std::lock_guard<std::mutex> lock(mu_);
     if (entries_.empty()) return false;
-    ++deltas_;
-    entries_.push_back(Entry{epoch, /*base=*/false, std::move(chunks)});
+    Push(Entry{epoch, /*base=*/false, std::move(chunks)});
     return true;
   }
 
@@ -79,11 +85,11 @@ class EpochTail {
     return {entries_.begin(), entries_.end()};
   }
 
-  // Drops everything (partition migrated away).
+  // Drops everything (the partition's ownership or delta baseline changed).
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    deltas_ = 0;
+    chain_.Clear();
   }
 
   uint64_t latest_epoch() const {
@@ -92,10 +98,16 @@ class EpochTail {
   }
 
  private:
+  void Push(Entry entry) {
+    chain_.Push({entry.epoch, static_cast<uint32_t>(entry.chunks.size()),
+                 entry.base ? EpochKind::kFull : EpochKind::kDelta},
+                BlobBytes(entry.chunks));
+    entries_.push_back(std::move(entry));
+  }
+
   mutable std::mutex mu_;
-  const size_t max_deltas_;
   std::deque<Entry> entries_;
-  size_t deltas_ = 0;
+  DeltaChain chain_;
 };
 
 }  // namespace sdg::checkpoint

@@ -113,9 +113,11 @@ void Connection::Fail(const Status& status) {
     std::lock_guard<std::mutex> lock(send_mu_);
     send_q_.clear();
     send_offset_ = 0;
+    // Under send_mu_, as in Close: a peer failing on one thread must not
+    // shut down a descriptor that Close released on another.
+    socket_.ShutdownBoth();
   }
   send_cv_.notify_all();
-  socket_.ShutdownBoth();
   if (!error_fired_.exchange(true) && on_error_) {
     on_error_(status);
   }
@@ -239,6 +241,7 @@ void Connection::Close() {
   send_cv_.notify_all();  // release senders blocked on capacity
   loop_->Deregister(fd_);  // waits out any in-flight callback
   broken_.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(send_mu_);
   socket_.ShutdownBoth();
   socket_.Close();
 }

@@ -63,10 +63,6 @@ class MultiLock {
   std::vector<TaskInstance*> instances_;
 };
 
-std::string StateChunkName(graph::StateId state, uint32_t instance) {
-  return "se" + std::to_string(state) + "_" + std::to_string(instance);
-}
-
 std::string BufferChunkName(graph::TaskId task, uint32_t instance) {
   return "outbuf" + std::to_string(task) + "_" + std::to_string(instance);
 }
@@ -1455,7 +1451,8 @@ Status Deployment::CheckpointNodeLocked(uint32_t node) {
       sm.record_count = unit.backend->EntryCount();
       meta.states.push_back(sm);
       captured_states.push_back(
-          {unit.backend, StateChunkName(unit.state, unit.instance)});
+          {unit.backend,
+           checkpoint::StateChunkName(unit.state, unit.instance)});
     }
     for (auto* ti : unit.accessors) {
       checkpoint::TaskInstanceMeta tm;
@@ -1858,7 +1855,6 @@ Status Deployment::RecoverNode(uint32_t failed,
     for (uint32_t i = 0; i < n; ++i) {
       rs.backends.push_back(MakeStateBackend(se));
     }
-    const std::string name = StateChunkName(sm.state, sm.instance);
     // Per-node ingest pacing: each recovering node can only absorb restore
     // traffic at a bounded rate, so splitting across n nodes divides the
     // per-node ingest time (the sleeps below overlap across threads).
@@ -1873,18 +1869,15 @@ Status Deployment::RecoverNode(uint32_t failed,
     };
     // Apply the base+delta chain strictly in order: the full base first, then
     // each delta epoch's changed records and tombstones on top. v1 metas
-    // deserialize with a synthesized single-link full chain, so this loop is
-    // the only restore path. The per-link barrier (pool.Wait) keeps later
-    // epochs from overtaking earlier ones.
-    for (const auto& link : sm.chain) {
-      SDG_ASSIGN_OR_RETURN(
-          auto chunks,
-          store_->ReadChunks(failed, link.epoch, name, link.num_chunks));
+    // deserialize with a synthesized single-link full chain, so this is the
+    // only restore path. Each link is applied in full (the fan-outs below
+    // join) before ReadChain reads the next, so later epochs never overtake
+    // earlier ones.
+    auto apply_link = [&](std::vector<std::vector<uint8_t>> chunks) -> Status {
       if (n == 1) {
         // Plain 1-to-1 (or m-to-1) restore. Stripe-locked backends accept
         // concurrent RestoreChunk calls (records route to per-stripe locks),
-        // so one link's chunks are ingested in parallel; the per-link barrier
-        // still keeps delta epochs ordered.
+        // so one link's chunks are ingested in parallel.
         const uint32_t fanout =
             std::min<uint32_t>(CkptParallelism(options_.fault_tolerance),
                                static_cast<uint32_t>(chunks.size()));
@@ -1937,7 +1930,9 @@ Status Deployment::RecoverNode(uint32_t failed,
         }
         SDG_RETURN_IF_ERROR(first_error);
       }
-    }
+      return Status::Ok();
+    };
+    SDG_RETURN_IF_ERROR(store_->ReadChain(failed, sm, apply_link));
     restored_states.push_back(std::move(rs));
   }
 

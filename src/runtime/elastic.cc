@@ -24,10 +24,6 @@ constexpr uint32_t kChunksPerPartition = 2;
 constexpr size_t kMigrateSegmentBytes = 64 * 1024;
 constexpr int kMigrateDeltaRounds = 2;
 
-std::string PartName(const std::string& state, uint32_t partition) {
-  return state + "." + std::to_string(partition);
-}
-
 uint64_t NowMs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -76,28 +72,23 @@ Status ElasticWorker::Start() {
   sopts.num_backup_nodes = options_.backup_nodes;
   store_ = std::make_unique<checkpoint::BackupStore>(std::move(sopts));
 
-  // Restore the latest durable epoch: owned partitions, their state and the
-  // per-source watermarks.
+  // Restore the latest restorable epoch: owned partitions, their state
+  // (each partition's base+delta chain) and the per-source watermarks.
   auto latest = store_->LatestEpoch(options_.member_id);
-  if (latest.ok() && *latest > 0) {
+  if (latest.ok()) {
     epoch_ = *latest;
     SDG_ASSIGN_OR_RETURN(auto meta,
                          store_->ReadMeta(options_.member_id, epoch_));
     for (const auto& sm : meta.states) {
-      SDG_ASSIGN_OR_RETURN(
-          auto chunks,
-          store_->ReadChunks(options_.member_id, epoch_,
-                             PartName(options_.state, sm.instance),
-                             sm.num_chunks));
       auto* backend = deployment_->StateInstance(options_.state, sm.instance);
       if (backend == nullptr) {
         return Status(StatusCode::kNotFound,
                       "restore: unknown state instance " +
-                          PartName(options_.state, sm.instance));
+                          options_.state + "." +
+                          std::to_string(sm.instance));
       }
-      for (const auto& chunk : chunks) {
-        SDG_RETURN_IF_ERROR(state::RestoreChunk(*backend, chunk));
-      }
+      SDG_RETURN_IF_ERROR(checkpoint::RestoreChain(
+          *store_, options_.member_id, sm, *backend));
       owned_.insert(sm.instance);
     }
     for (const auto& tm : meta.tasks) {
@@ -147,19 +138,18 @@ Status ElasticWorker::Start() {
         }));
   }
 
-  if (options_.serve_feed) {
-    tails_.reserve(options_.partitions);
-    for (uint32_t p = 0; p < options_.partitions; ++p) {
-      tails_.push_back(
-          std::make_unique<checkpoint::EpochTail>(options_.feed_max_deltas));
+  // Dirty tracking from the first epoch on, on every partition: each epoch
+  // is a delta link of the partition's chain unless the chain rule asks for
+  // a base. Restored partitions start without a baseline (RestoreChunk
+  // invalidates), so their first epoch is a base.
+  chains_.resize(options_.partitions);
+  for (uint32_t p = 0; p < options_.partitions; ++p) {
+    auto* backend = deployment_->StateInstance(options_.state, p);
+    if (backend != nullptr) {
+      backend->EnableDeltaTracking();
     }
-    // Dirty tracking from the first epoch on; restored partitions start
-    // invalid (RestoreChunk invalidates), so their first publish is a base.
-    for (uint32_t p = 0; p < options_.partitions; ++p) {
-      auto* backend = deployment_->StateInstance(options_.state, p);
-      if (backend != nullptr) {
-        backend->EnableDeltaTracking();
-      }
+    if (options_.serve_feed) {
+      tails_.push_back(std::make_unique<checkpoint::EpochTail>());
     }
   }
 
@@ -290,88 +280,159 @@ void ElasticWorker::OnBatch(const net::Handshake& hs,
 
 Status ElasticWorker::Checkpoint() {
   std::scoped_lock op(op_mutex_);
-  std::map<uint32_t, uint64_t> acks;
-  std::vector<net::ReplicaEpochMsg> publish;
+  // One partition's share of the epoch: its link (the same blobs go to the
+  // store and the feed tail) and, at a re-base that live subscribers can
+  // bridge with a delta, that delta.
+  struct Cut {
+    uint32_t partition = 0;
+    state::StateBackend* backend = nullptr;
+    bool base = true;
+    bool extends = false;  // the tracker's baseline is the chain's last link
+    std::vector<std::vector<uint8_t>> blobs;
+    std::vector<std::vector<uint8_t>> live_delta;
+  };
+  std::vector<Cut> cuts;
+  std::map<uint32_t, uint64_t> watermarks;
+  uint64_t epoch;
+  uint64_t depth;
   {
+    // The cut: quiesce and freeze every owned partition at the captured
+    // watermarks. Serialisation runs after the ingest lock is released,
+    // against the frozen state; writes landing meanwhile go to the dirty
+    // overlays (§5).
     std::lock_guard<std::mutex> ingest(ingest_mutex_);
     deployment_->Drain();
-    uint64_t epoch = epoch_ + 1;
-    uint64_t depth = deployment_->TotalQueueDepth();
-    checkpoint::CheckpointMeta meta;
-    meta.epoch = epoch;
+    epoch = epoch_ + 1;
+    depth = deployment_->TotalQueueDepth();
     for (uint32_t p : owned_) {
-      auto* backend = deployment_->StateInstance(options_.state, p);
-      if (options_.serve_feed) {
-        // Cut the feed epoch under the backend's delta protocol: a delta when
-        // the dirty tracker covers the gap since the tail's last epoch, a
-        // base otherwise. The durable write below reads the same quiesced
-        // state.
-        backend->BeginCheckpoint();
-        bool delta = backend->DeltaReady() && !tails_[p]->NeedsBase();
-        auto blobs = checkpoint::SerializeEpochBlobs(
-            *backend, options_.state, kChunksPerPartition, delta,
-            state::kChunkCodecPrefix);
-        backend->EndCheckpoint();
-        backend->ResolveEpoch(blobs.ok());
-        if (blobs.ok()) {
-          if (delta) {
-            delta = tails_[p]->PushDelta(epoch, *blobs);
-          }
-          if (!delta) {
-            tails_[p]->PushBase(epoch, *blobs);
-          }
-          net::ReplicaEpochMsg announce;
-          announce.partition = p;
-          announce.member_id = options_.member_id;
-          announce.kind = net::kEpochAnnounce;
-          announce.epoch = epoch;
-          announce.queue_depth = depth;
-          net::ReplicaEpochMsg body = announce;
-          body.kind = delta ? net::kEpochDelta : net::kEpochBase;
-          body.chunks = std::move(*blobs);
-          publish.push_back(std::move(announce));
-          publish.push_back(std::move(body));
-        }
-      }
-      // The durable epoch is always a full one, streamed into the store.
-      checkpoint::ChunkStreamWriter::Options wopts;
-      wopts.num_chunks = kChunksPerPartition;
-      wopts.codec = state::kChunkCodecPrefix;
-      checkpoint::ChunkStreamWriter writer(*store_, options_.member_id, epoch,
-                                           PartName(options_.state, p), wopts);
-      SDG_RETURN_IF_ERROR(checkpoint::WriteEpoch(writer, *backend).status());
-      checkpoint::StateInstanceMeta sm;
-      sm.state = 0;
-      sm.instance = p;
-      sm.num_chunks = kChunksPerPartition;
-      sm.record_count = backend->EntryCount();
-      sm.kind = checkpoint::EpochKind::kFull;
-      sm.base_epoch = epoch;
-      sm.chain = {{epoch, sm.num_chunks, checkpoint::EpochKind::kFull}};
-      meta.states.push_back(std::move(sm));
+      Cut cut;
+      cut.partition = p;
+      cut.backend = deployment_->StateInstance(options_.state, p);
+      cut.backend->BeginCheckpoint();
+      cuts.push_back(std::move(cut));
     }
-    for (const auto& [si, wm] : received_) {
-      checkpoint::TaskInstanceMeta tm;
-      tm.task = runtime::kRemoteSourceTask;
-      tm.instance = si;
-      tm.last_seen = {{runtime::kRemoteSourceTask, si, wm}};
-      meta.tasks.push_back(std::move(tm));
-    }
-    // Meta last: an epoch is durable only once its meta exists, so a crash
-    // mid-write leaves the previous epoch authoritative.
-    SDG_RETURN_IF_ERROR(store_->WriteMeta(options_.member_id, epoch, meta));
-    epoch_ = epoch;
-    durable_ = received_;
-    acks = durable_;
-    store_->PruneBefore(options_.member_id, epoch_);
+    watermarks = received_;
   }
+
+  Status st;
+  for (auto& cut : cuts) {
+    const uint32_t p = cut.partition;
+    const std::string name = checkpoint::StateChunkName(0, p);
+    auto serialize = [&](bool delta) {
+      return checkpoint::SerializeEpochBlobs(*cut.backend, name,
+                                             kChunksPerPartition, delta,
+                                             state::kChunkCodecPrefix);
+    };
+    // A delta extends the committed chain only while the tracker's baseline
+    // is the chain's last link: not while a migration owns the tracker. At a
+    // re-base the chain rule asks for, live subscribers still get the delta.
+    cut.extends = migrating_.count(p) == 0 && !chains_[p].empty() &&
+                  cut.backend->DeltaReady();
+    cut.base = !cut.extends || chains_[p].NeedsBase();
+    auto blobs = serialize(/*delta=*/!cut.base);
+    if (blobs.ok() && cut.base && cut.extends && options_.serve_feed) {
+      auto delta = serialize(/*delta=*/true);
+      if (delta.ok()) {
+        cut.live_delta = std::move(*delta);
+      } else {
+        blobs = delta.status();
+      }
+    }
+    if (blobs.ok()) {
+      cut.blobs = std::move(*blobs);
+      st = store_->WriteChunks(options_.member_id, epoch, name, cut.blobs);
+    } else {
+      st = blobs.status();
+    }
+    if (!st.ok()) {
+      break;
+    }
+  }
+  for (auto& cut : cuts) {
+    cut.backend->EndCheckpoint();
+  }
+
+  checkpoint::CheckpointMeta meta;
+  meta.epoch = epoch;
+  for (const auto& cut : cuts) {
+    checkpoint::StateInstanceMeta sm;
+    sm.state = 0;
+    sm.instance = cut.partition;
+    sm.num_chunks = kChunksPerPartition;
+    sm.record_count = cut.backend->EntryCount();
+    sm.kind = cut.base ? checkpoint::EpochKind::kFull
+                       : checkpoint::EpochKind::kDelta;
+    if (!cut.base) {
+      sm.chain = chains_[cut.partition].links();
+    }
+    sm.chain.push_back({epoch, kChunksPerPartition, sm.kind});
+    sm.base_epoch = sm.chain.front().epoch;
+    meta.states.push_back(std::move(sm));
+  }
+  for (const auto& [si, wm] : watermarks) {
+    checkpoint::TaskInstanceMeta tm;
+    tm.task = runtime::kRemoteSourceTask;
+    tm.instance = si;
+    tm.last_seen = {{runtime::kRemoteSourceTask, si, wm}};
+    meta.tasks.push_back(std::move(tm));
+  }
+  // Meta last: an epoch is durable only once its meta exists, so a crash
+  // mid-write leaves the previous epoch authoritative.
+  if (st.ok()) {
+    st = store_->WriteMeta(options_.member_id, epoch, meta);
+  }
+  // Commit each frozen change set as the delta baseline — except under a
+  // migration, whose next round still needs it — or merge it back so the
+  // next delta is a superset.
+  for (auto& cut : cuts) {
+    cut.backend->ResolveEpoch(st.ok() &&
+                              migrating_.count(cut.partition) == 0);
+  }
+  SDG_RETURN_IF_ERROR(st);
+
+  std::vector<net::ReplicaEpochMsg> publish;
+  for (size_t i = 0; i < cuts.size(); ++i) {
+    Cut& cut = cuts[i];
+    const auto& sm = meta.states[i];
+    chains_[cut.partition].Push(sm.chain.back(),
+                                checkpoint::BlobBytes(cut.blobs));
+    if (!options_.serve_feed) {
+      continue;
+    }
+    auto& tail = *tails_[cut.partition];
+    net::ReplicaEpochMsg announce;
+    announce.partition = cut.partition;
+    announce.member_id = options_.member_id;
+    announce.kind = net::kEpochAnnounce;
+    announce.epoch = epoch;
+    announce.queue_depth = depth;
+    net::ReplicaEpochMsg body = announce;
+    if (cut.base) {
+      tail.PushBase(epoch, cut.blobs);
+      body.kind = cut.extends ? net::kEpochDelta : net::kEpochBase;
+      body.chunks =
+          cut.extends ? std::move(cut.live_delta) : std::move(cut.blobs);
+    } else {
+      tail.PushDelta(epoch, cut.blobs);
+      body.kind = net::kEpochDelta;
+      body.chunks = std::move(cut.blobs);
+    }
+    publish.push_back(std::move(announce));
+    publish.push_back(std::move(body));
+  }
+  {
+    std::lock_guard<std::mutex> ingest(ingest_mutex_);
+    epoch_ = epoch;
+    durable_ = watermarks;
+  }
+  store_->PruneBefore(options_.member_id, meta.MinChainEpoch());
   // Ack outside the ingest lock: senders trim their logs; a lost ack is
   // repaired by the next stream open's watermark. One batched call: a sender
   // gets a single coalesced kMuxAckBatch frame for all its streams.
-  if (!acks.empty()) {
+  if (!watermarks.empty()) {
     std::vector<net::ChannelServer::SourceAck> batch;
-    batch.reserve(acks.size());
-    for (const auto& [si, wm] : acks) {
+    batch.reserve(watermarks.size());
+    for (const auto& [si, wm] : watermarks) {
       batch.push_back({runtime::kRemoteSourceTask, si, wm});
     }
     server_->AckSources(batch);
@@ -381,6 +442,18 @@ Status ElasticWorker::Checkpoint() {
     QueueFeed(std::move(msg));
   }
   return Status::Ok();
+}
+
+void ElasticWorker::ResetChain(uint32_t p) {
+  chains_[p].Clear();
+  if (!tails_.empty()) {
+    tails_[p]->Clear();
+  }
+}
+
+void ElasticWorker::EndMigration(uint32_t p) {
+  migrating_.erase(p);
+  ResetChain(p);
 }
 
 void ElasticWorker::CheckpointLoop() {
@@ -729,9 +802,7 @@ void ElasticWorker::HandleControl(net::Socket& socket,
             outbound_.reset();
           }
         }
-        if (!tails_.empty()) {
-          tails_[msg.partition]->Clear();
-        }
+        EndMigration(msg.partition);
       }
       if (was_owned) {
         // Make the release durable. Outside the op lock: Checkpoint takes it.
@@ -802,11 +873,6 @@ void ElasticWorker::HandleMigrateBegin(net::Socket& control,
       return;
     }
   }
-  // Migration epochs consume the backend's dirty set, so the replica feed's
-  // delta baseline is gone: drop the tail and let the next feed epoch re-base.
-  if (!tails_.empty()) {
-    tails_[cmd.partition]->Clear();
-  }
   auto dialed = net::Socket::Connect(cmd.target_host,
                                      static_cast<uint16_t>(cmd.target_port));
   if (!dialed.ok()) {
@@ -828,10 +894,11 @@ void ElasticWorker::HandleMigrateBegin(net::Socket& control,
   auto* backend = deployment_->StateInstance(options_.state, cmd.partition);
 
   // Base epoch: freeze, stream the full state while processing continues
-  // against the dirty overlay, commit the epoch as the delta baseline.
+  // against the dirty overlay, commit the epoch as the delta baseline. From
+  // here to the cutover the migration owns the partition's delta tracker.
   {
     std::scoped_lock op(op_mutex_);
-    backend->EnableDeltaTracking();
+    migrating_.insert(cmd.partition);
     backend->BeginCheckpoint();
     st = StreamEpoch(*backend, session, /*delta=*/false, "migrate.base");
     backend->EndCheckpoint();
@@ -867,6 +934,10 @@ void ElasticWorker::HandleMigrateBegin(net::Socket& control,
     }
   }
   if (!st.ok()) {
+    {
+      std::scoped_lock op(op_mutex_);
+      EndMigration(cmd.partition);
+    }
     fail(st);
     return;
   }
@@ -903,13 +974,12 @@ void ElasticWorker::HandleCutover(net::Socket& control, uint32_t partition) {
                                   err.Encode());
   };
   if (!session) {
+    {
+      std::scoped_lock op(op_mutex_);
+      EndMigration(partition);
+    }
     fail(Status(StatusCode::kFailedPrecondition, "no prepared session"));
     return;
-  }
-  // The final delta eats the dirty set whether or not cutover lands; either
-  // way the feed tail's baseline is invalid for this partition.
-  if (!tails_.empty()) {
-    tails_[partition]->Clear();
   }
   auto* backend = deployment_->StateInstance(options_.state, partition);
   std::vector<net::SourceWatermark> watermarks;
@@ -937,6 +1007,9 @@ void ElasticWorker::HandleCutover(net::Socket& control, uint32_t partition) {
                      "migrate.final");
     backend->EndCheckpoint();
     backend->ResolveEpoch(st.ok());
+    // Whether or not the cutover lands, the final delta consumed the dirty
+    // set: a partition taken back below re-bases its chain.
+    EndMigration(partition);
   }
   net::MigrateChunkMsg apply;
   apply.flags = net::kMigrateChunkApply;
@@ -1012,8 +1085,9 @@ void ElasticWorker::OnMigrationSession(net::Socket socket,
   }
   auto* backend = deployment_->StateInstance(options_.state, partition);
   backend->Clear();  // drop any orphan of an aborted earlier session
-  if (!tails_.empty()) {
-    tails_[partition]->Clear();  // stale retained epochs from past ownership
+  {
+    std::scoped_lock op(op_mutex_);
+    ResetChain(partition);  // stale links and tail from past ownership
   }
   bool touched = false;
   // Segments per chunk index, concatenated in arrival order: together they
@@ -1538,8 +1612,7 @@ Status ElasticHead::InjectBatch(uint32_t entry_index,
 }
 
 Status ElasticHead::PushPartition(
-    uint32_t partition, uint32_t member,
-    const std::vector<std::vector<uint8_t>>& chunks,
+    uint32_t partition, uint32_t member, const ChainChunks& links,
     const std::vector<net::SourceWatermark>& watermarks) {
   std::lock_guard<std::mutex> migrate(migrate_mutex_);
   SDG_ASSIGN_OR_RETURN(Member m, GetMember(member));
@@ -1553,17 +1626,6 @@ Status ElasticHead::PushPartition(
   begin.num_partitions = options_.partitions;
   SDG_RETURN_IF_ERROR(net::WriteFrameBlocking(
       socket, net::FrameType::kMigrateBegin, begin.Encode()));
-  for (uint32_t i = 0; i < chunks.size(); ++i) {
-    net::MigrateChunkMsg msg;
-    msg.chunk_index = i;
-    msg.bytes = chunks[i];
-    SDG_RETURN_IF_ERROR(net::WriteFrameBlocking(
-        socket, net::FrameType::kMigrateChunk, msg.Encode()));
-  }
-  net::MigrateChunkMsg apply;
-  apply.flags = net::kMigrateChunkApply;
-  SDG_RETURN_IF_ERROR(net::WriteFrameBlocking(
-      socket, net::FrameType::kMigrateChunk, apply.Encode()));
   auto await_ack = [&]() -> Status {
     SDG_ASSIGN_OR_RETURN(net::Frame frame,
                          net::ReadFrameBlocking(socket, carry));
@@ -1576,7 +1638,24 @@ Status ElasticHead::PushPartition(
     }
     return Status::Ok();
   };
-  SDG_RETURN_IF_ERROR(await_ack());
+  // One apply round per link, base first, like a live migration's base and
+  // delta rounds; a partition with no links still applies once (empty).
+  net::MigrateChunkMsg apply;
+  apply.flags = net::kMigrateChunkApply;
+  for (size_t l = 0; l < std::max<size_t>(links.size(), 1); ++l) {
+    if (l < links.size()) {
+      for (uint32_t i = 0; i < links[l].size(); ++i) {
+        net::MigrateChunkMsg msg;
+        msg.chunk_index = i;
+        msg.bytes = links[l][i];
+        SDG_RETURN_IF_ERROR(net::WriteFrameBlocking(
+            socket, net::FrameType::kMigrateChunk, msg.Encode()));
+      }
+    }
+    SDG_RETURN_IF_ERROR(net::WriteFrameBlocking(
+        socket, net::FrameType::kMigrateChunk, apply.Encode()));
+    SDG_RETURN_IF_ERROR(await_ack());
+  }
   net::MigrateCommitMsg commit;
   commit.state = options_.state;
   commit.partition = partition;
@@ -1690,15 +1769,13 @@ Status ElasticHead::RecoverMember(uint32_t member) {
       it->second.alive = false;
     }
   }
-  // The dead member's last complete epoch (if it ever checkpointed). With no
-  // epoch the partitions restart empty — and the head's logs, never acked,
-  // still hold every item, so replay rebuilds the state.
-  uint64_t epoch = 0;
+  // The dead member's last restorable epoch (if it ever checkpointed). With
+  // no epoch the partitions restart empty — and the head's logs, never
+  // acked, still hold every item, so replay rebuilds the state.
   checkpoint::CheckpointMeta meta;
   auto latest = store_->LatestEpoch(member);
-  if (latest.ok() && *latest > 0) {
-    epoch = *latest;
-    SDG_ASSIGN_OR_RETURN(meta, store_->ReadMeta(member, epoch));
+  if (latest.ok()) {
+    SDG_ASSIGN_OR_RETURN(meta, store_->ReadMeta(member, *latest));
   }
   std::vector<uint32_t> lost;
   for (uint32_t p = 0; p < options_.partitions; ++p) {
@@ -1718,22 +1795,24 @@ Status ElasticHead::RecoverMember(uint32_t member) {
   Status first;
   for (size_t i = 0; i < lost.size(); ++i) {
     uint32_t p = lost[i];
-    std::vector<std::vector<uint8_t>> chunks;
+    ChainChunks links;
     std::vector<net::SourceWatermark> watermarks;
     for (const auto& sm : meta.states) {
       if (sm.instance != p) {
         continue;
       }
-      auto read = store_->ReadChunks(member, epoch,
-                                     PartName(options_.state, p),
-                                     sm.num_chunks);
+      Status read = store_->ReadChain(
+          member, sm,
+          [&links](std::vector<std::vector<uint8_t>> chunks) {
+            links.push_back(std::move(chunks));
+            return Status::Ok();
+          });
       if (!read.ok()) {
+        links.clear();
         if (first.ok()) {
-          first = read.status();
+          first = read;
         }
-        continue;
       }
-      chunks = std::move(*read);
     }
     for (const auto& tm : meta.tasks) {
       if (tm.instance % options_.partitions != p) {
@@ -1744,7 +1823,7 @@ Status ElasticHead::RecoverMember(uint32_t member) {
       }
     }
     uint32_t to = alive[i % alive.size()];
-    Status st = PushPartition(p, to, chunks, watermarks);
+    Status st = PushPartition(p, to, links, watermarks);
     if (!st.ok() && first.ok()) {
       first = st;
     }

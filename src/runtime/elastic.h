@@ -106,13 +106,14 @@ struct ElasticWorkerOptions {
   runtime::ScalingOptions scaling;  // on_straggler is wired to kCtrlStraggler
   // Serve path. With serve_feed set, every checkpoint epoch of an owned
   // partition is also published to the head's gateway over a replica-feed
-  // connection (kReplicaSubscribe + kReplicaEpoch): an announce the moment
-  // the epoch is cut, then the epoch's chunk blobs as a base or — when the
-  // backend's dirty tracker covers the gap — a delta. An EpochTail per
-  // partition retains base + deltas for reconnect replay; after
-  // feed_max_deltas deltas the next epoch re-bases.
+  // connection (kReplicaSubscribe + kReplicaEpoch): an announce, then the
+  // same chunk blobs the epoch wrote to the backup store. Live subscribers
+  // get a delta every epoch — at a re-base epoch the base goes to the store
+  // and the tail, and the epoch's small delta to the live feed — and a base
+  // only when the partition's delta baseline is new (restore, migration,
+  // release). An EpochTail per partition mirrors the durable chain (base +
+  // deltas) for reconnect replay and re-bases with it.
   bool serve_feed = false;
-  size_t feed_max_deltas = 8;
   // Sink TEs whose outputs are forwarded to the head as kResponse frames
   // (request_id = the item's user_tag) — the strong-read reply path. They
   // ride a dedicated reply stream to the head, so bulk replies never queue
@@ -209,6 +210,14 @@ class ElasticWorker {
 
   void CheckpointLoop();
 
+  // Drops partition `p`'s committed chain (and the feed tail mirroring it),
+  // so its next epoch is a full base. Caller holds op_mutex_.
+  void ResetChain(uint32_t p);
+  // Ends `p`'s outbound migration: its rounds committed the delta tracker,
+  // so the chain no longer matches the tracker's baseline. Caller holds
+  // op_mutex_.
+  void EndMigration(uint32_t p);
+
   const ElasticWorkerOptions options_;
   graph::Sdg graph_;
   std::unique_ptr<runtime::Deployment> deployment_;
@@ -223,6 +232,12 @@ class ElasticWorker {
   std::map<uint32_t, uint64_t> received_;    // source instance -> applied wm
   std::map<uint32_t, uint64_t> durable_;     // source instance -> durable wm
   uint64_t epoch_ = 0;
+  // Guarded by op_mutex_: each partition's committed durable chain, and the
+  // partitions with an outbound migration in flight. A migration owns the
+  // partition's delta tracker from its base round to its cutover, so a
+  // checkpoint in between writes a full base and hands the frozen set back.
+  std::vector<checkpoint::DeltaChain> chains_;
+  std::set<uint32_t> migrating_;
 
   std::mutex outbound_mutex_;
   std::optional<OutboundMigration> outbound_;  // prepared, awaiting cutover
@@ -250,8 +265,9 @@ class ElasticWorker {
   std::condition_variable joined_cv_;
   std::atomic<uint64_t> items_ingested_{0};
 
-  // Replica feed (serve_feed). Tails are per partition, internally locked;
-  // the queue hands Checkpoint's published epochs to the feed thread.
+  // Replica feed (serve_feed). Tails are per partition, internally locked
+  // (Checkpoint and ResetChain write them under op_mutex_); the queue hands
+  // Checkpoint's published epochs to the feed thread.
   std::vector<std::unique_ptr<checkpoint::EpochTail>> tails_;
   std::thread feed_thread_;
   std::mutex feed_mutex_;
@@ -407,11 +423,13 @@ class ElasticHead {
   // later Deliver/poke regardless).
   Status FlipOwnerLocked(Part& part, uint32_t partition, uint32_t member);
 
-  // Pushes `chunks` (+ watermark handoff) into `member`'s data server as a
-  // migration session and flips routing on success. The initial-assignment
-  // (empty chunks) and recovery paths.
+  // Pushes `links` — a base+delta chain, each link's chunks applied before
+  // the next link's are sent — plus the watermark handoff into `member`'s
+  // data server as a migration session, and flips routing on success. The
+  // initial-assignment (no links) and recovery paths.
+  using ChainChunks = std::vector<std::vector<std::vector<uint8_t>>>;
   Status PushPartition(uint32_t partition, uint32_t member,
-                       const std::vector<std::vector<uint8_t>>& chunks,
+                       const ChainChunks& links,
                        const std::vector<net::SourceWatermark>& watermarks);
 
   size_t BacklogOf(uint32_t member) const;

@@ -1,11 +1,13 @@
 // ReplicaView: a read-only partial-state replica of one partition (§3.2).
 //
 // The owning worker publishes its state as checkpoint-epoch events: an
-// *announce* the moment an epoch is cut (a few bytes — it advances the
-// owner's epoch watermark), then the epoch's chunk blobs as a *base* (full
-// contents) or a *delta* (dirty records + tombstones over the previous
-// epoch). The view applies those events to a private StateBackend and tracks
-// two watermarks:
+// *announce* per epoch (a few bytes — it advances the owner's epoch
+// watermark), then the epoch's chunk blobs as a *base* (full contents) or a
+// *delta* (dirty records + tombstones over the previous epoch). A live view
+// receives a delta every epoch, even when the owner's durable chain
+// re-bases; a base arrives only when the partition's owner or delta
+// baseline changes, or in the tail replay of a (re)subscribe. The view
+// applies those events to a private StateBackend and tracks two watermarks:
 //
 //   applied_epoch    — the last epoch folded into the backend
 //   announced_epoch  — the last epoch the owner announced cutting

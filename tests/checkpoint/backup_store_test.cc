@@ -5,8 +5,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <string>
 
+#include "src/checkpoint/chunk_stream.h"
+#include "src/checkpoint/epoch_tail.h"
 #include "src/common/clock.h"
+#include "src/state/keyed_dict.h"
 #include "tests/common/scoped_test_dir.h"
 
 namespace sdg::checkpoint {
@@ -70,6 +75,9 @@ TEST_F(BackupStoreTest, MetaRoundTripAndLatestEpoch) {
                         {{2, 0, 17}}});
   meta.states.push_back({/*state=*/0, /*instance=*/0, /*num_chunks=*/4,
                          /*record_count=*/100});
+  // The state's chunks, without which the epoch would not be restorable.
+  ASSERT_TRUE(
+      store.WriteChunks(5, 3, StateChunkName(0, 0), MakeChunks(4, 8)).ok());
   ASSERT_TRUE(store.WriteMeta(5, 3, meta).ok());
 
   auto latest = store.LatestEpoch(5);
@@ -131,6 +139,117 @@ TEST_F(BackupStoreTest, LeftoverMetaTmpIsNotAnEpoch) {
 
   store.PruneBefore(1, 4);
   EXPECT_FALSE(fs::exists(tmp));
+}
+
+using Dict = state::KeyedDict<int64_t, std::string>;
+
+std::map<int64_t, std::string> Contents(const Dict& dict) {
+  std::map<int64_t, std::string> out;
+  dict.ForEach([&](const int64_t& k, const std::string& v) { out[k] = v; });
+  return out;
+}
+
+// Writes one epoch of `dict` as SE instance (0, 0) of node 1: a delta link
+// of `chain` unless its rule asks for a base — the elastic worker's cut.
+void CutChainedEpoch(BackupStore& store, Dict& dict, DeltaChain& chain,
+                     uint64_t epoch) {
+  dict.BeginCheckpoint();
+  const bool delta = dict.DeltaReady() && !chain.NeedsBase();
+  const std::string name = StateChunkName(0, 0);
+  auto blobs = SerializeEpochBlobs(dict, name, /*num_chunks=*/2, delta,
+                                   state::kChunkCodecPrefix);
+  dict.EndCheckpoint();
+  ASSERT_TRUE(blobs.ok());
+  ASSERT_TRUE(store.WriteChunks(1, epoch, name, *blobs).ok());
+  StateInstanceMeta sm;
+  sm.num_chunks = 2;
+  sm.kind = delta ? EpochKind::kDelta : EpochKind::kFull;
+  if (delta) {
+    sm.chain = chain.links();
+  }
+  sm.chain.push_back({epoch, 2, sm.kind});
+  sm.base_epoch = sm.chain.front().epoch;
+  CheckpointMeta meta;
+  meta.epoch = epoch;
+  meta.states.push_back(sm);
+  ASSERT_TRUE(store.WriteMeta(1, epoch, meta).ok());
+  dict.ResolveEpoch(true);
+  uint64_t bytes = 0;
+  for (const auto& b : *blobs) {
+    bytes += b.size();
+  }
+  chain.Push(sm.chain.back(), bytes);
+}
+
+// A chain of base + 2 deltas, then a newer epoch whose meta is truncated
+// on disk: LatestEpoch falls back to the last intact epoch, whose chain
+// restores exactly, and pruning past it keeps that chain.
+TEST_F(BackupStoreTest, TornNewestMetaFallsBackToPreviousChain) {
+  BackupStore store(Options(2));
+  Dict owner;
+  owner.EnableDeltaTracking();
+  DeltaChain chain;
+  for (int64_t k = 0; k < 200; ++k) {
+    owner.Put(k, "base" + std::to_string(k));
+  }
+  CutChainedEpoch(store, owner, chain, 1);
+  owner.Put(3, "three");
+  owner.Erase(4);
+  CutChainedEpoch(store, owner, chain, 2);
+  owner.Put(5, "five");
+  owner.Erase(3);  // a delete of a key the previous delta wrote
+  owner.Put(500, "new");
+  CutChainedEpoch(store, owner, chain, 3);
+  const auto want = Contents(owner);
+  owner.Put(6, "six");
+  CutChainedEpoch(store, owner, chain, 4);
+  ASSERT_EQ(chain.links().size(), 4u);
+
+  const fs::path meta4 = dir_.path() / "meta" / "node1_epoch4.meta";
+  fs::resize_file(meta4, fs::file_size(meta4) / 2);
+  ASSERT_FALSE(store.ReadMeta(1, 4).ok());
+
+  auto restore = [&]() -> std::map<int64_t, std::string> {
+    auto latest = store.LatestEpoch(1);
+    EXPECT_TRUE(latest.ok()) << latest.status().ToString();
+    if (!latest.ok()) {
+      return {};
+    }
+    EXPECT_EQ(*latest, 3u);
+    auto meta = store.ReadMeta(1, *latest);
+    EXPECT_TRUE(meta.ok());
+    EXPECT_EQ(meta->states.size(), 1u);
+    const auto& links = meta->states[0].chain;
+    EXPECT_EQ(links.size(), 3u);
+    EXPECT_EQ(links.front().kind, EpochKind::kFull);
+    EXPECT_EQ(links.back().kind, EpochKind::kDelta);
+    Dict restored;
+    Status st = RestoreChain(store, 1, meta->states[0], restored);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return Contents(restored);
+  };
+  EXPECT_EQ(restore(), want);
+
+  // Pruning below the torn epoch's own chain base must keep what a restart
+  // restores.
+  store.PruneBefore(1, 4);
+  EXPECT_EQ(restore(), want);
+}
+
+// A meta whose chain lost a chunk file is not restorable either.
+TEST_F(BackupStoreTest, LatestEpochSkipsChainWithMissingChunk) {
+  BackupStore store(Options(1));
+  Dict owner;
+  owner.EnableDeltaTracking();
+  DeltaChain chain;
+  owner.Put(1, "a");
+  CutChainedEpoch(store, owner, chain, 1);
+  owner.Put(2, "b");
+  CutChainedEpoch(store, owner, chain, 2);
+  fs::remove(dir_.path() / "backup0" / "node1_epoch2_se0_0_chunk1.bin");
+  auto latest = store.LatestEpoch(1);
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(*latest, 1u);
 }
 
 TEST_F(BackupStoreTest, LatestEpochOfUnknownNodeFails) {

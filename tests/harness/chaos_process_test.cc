@@ -20,9 +20,9 @@
 
 #include "src/apps/kv.h"
 #include "src/checkpoint/backup_store.h"
+#include "src/checkpoint/chunk_stream.h"
 #include "src/common/rng.h"
 #include "src/runtime/elastic.h"
-#include "src/state/chunk.h"
 #include "src/state/keyed_dict.h"
 #include "tests/common/scoped_test_dir.h"
 #include "tests/harness/chaos_harness.h"
@@ -139,8 +139,9 @@ class ProcessFleet {
   std::map<uint32_t, uint16_t> ports_;
 };
 
-// Reads partition `p` of `state` from `member`'s latest durable epoch into
-// `backend`; fails the test when the owner's store lacks the partition.
+// Reads partition `p` of `state` from `member`'s latest durable epoch (its
+// base+delta chain) into `backend`; fails the test when the owner's store
+// lacks the partition.
 template <typename Backend>
 void RestorePartitionFromBackup(const std::string& root, uint32_t member,
                                 const std::string& state, uint32_t p,
@@ -160,13 +161,8 @@ void RestorePartitionFromBackup(const std::string& root, uint32_t member,
     }
   }
   ASSERT_NE(sm, nullptr) << "owner " << member << " never persisted p" << p;
-  auto chunks = store.ReadChunks(member, *epoch,
-                                 state + "." + std::to_string(p),
-                                 sm->num_chunks);
-  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
-  for (const auto& blob : *chunks) {
-    ASSERT_TRUE(state::RestoreChunk(backend, blob).ok());
-  }
+  Status st = checkpoint::RestoreChain(store, member, *sm, backend);
+  ASSERT_TRUE(st.ok()) << st.ToString();
 }
 
 // Quiesces the deployment and merges every partition's durable state (read

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "src/apps/kv.h"
+#include "src/checkpoint/backup_store.h"
 #include "src/net/channel_server.h"
 #include "src/net/connection.h"
 #include "src/net/frame.h"
@@ -245,7 +247,8 @@ class ElasticFixture : public ::testing::Test {
 
   std::unique_ptr<elastic::ElasticWorker> MakeWorker(uint32_t member_id,
                                                      uint16_t head_port,
-                                                     uint16_t data_port = 0) {
+                                                     uint16_t data_port = 0,
+                                                     bool serve_feed = false) {
     apps::KvOptions kv;
     kv.partitions = kPartitions;
     auto g = apps::BuildKvSdg(kv);
@@ -259,6 +262,7 @@ class ElasticFixture : public ::testing::Test {
     w.partitions = kPartitions;
     w.entries = {"put", "del"};
     w.backup_root = (root_ / "backup").string();
+    w.serve_feed = serve_feed;
     return std::make_unique<elastic::ElasticWorker>(std::move(*g),
                                                     std::move(w));
   }
@@ -324,6 +328,55 @@ class ElasticFixture : public ::testing::Test {
             root_ / "backup" / std::filesystem::relative(e.path(), root_ / "saved"));
       }
     }
+  }
+
+  // Writes `keys` of the partitions `w` owns straight into its deployment
+  // (the bulk path, bypassing the head's log) and checkpoints twice: the
+  // partitions' first bases were cut empty at assignment, so by the chain
+  // rule the epoch after the one carrying the load re-bases if that one was
+  // a delta. Afterwards every chain's base holds the load, and small writes
+  // extend it link by link.
+  void LoadDirect(elastic::ElasticWorker& w, int64_t keys,
+                  std::map<int64_t, std::string>& model) {
+    std::vector<uint32_t> owned = w.OwnedPartitions();
+    std::vector<Tuple> batch;
+    for (int64_t k = 0; k < keys; ++k) {
+      const uint32_t p = Value(k).Hash() % kPartitions;
+      if (std::find(owned.begin(), owned.end(), p) != owned.end()) {
+        std::string v = "load" + std::to_string(k);
+        batch.push_back(Tuple{Value(k), Value(v)});
+        model[k] = v;
+      }
+    }
+    ASSERT_TRUE(w.deployment()->InjectAll("put", std::move(batch)).ok());
+    w.deployment()->Drain();
+    ASSERT_TRUE(w.Checkpoint().ok());
+    ASSERT_TRUE(w.Checkpoint().ok());
+  }
+
+  // The meta a restart of `member` would restore from.
+  checkpoint::CheckpointMeta LatestMeta(uint32_t member) {
+    checkpoint::BackupStoreOptions o;
+    o.root = root_ / "backup";
+    checkpoint::BackupStore store(o);
+    auto epoch = store.LatestEpoch(member);
+    EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
+    if (!epoch.ok()) {
+      return {};
+    }
+    auto meta = store.ReadMeta(member, *epoch);
+    EXPECT_TRUE(meta.ok());
+    return meta.ok() ? *meta : checkpoint::CheckpointMeta{};
+  }
+
+  // Shortest state chain in `member`'s latest meta (0 without states).
+  size_t MinChainLength(uint32_t member) {
+    auto meta = LatestMeta(member);
+    size_t n = meta.states.empty() ? 0 : SIZE_MAX;
+    for (const auto& sm : meta.states) {
+      n = std::min(n, sm.chain.size());
+    }
+    return n;
   }
 
   std::filesystem::path root_;
@@ -557,6 +610,253 @@ TEST_F(ElasticFixture, JoinDuringActiveCheckpoint) {
   EXPECT_EQ(head.AliveMembers().size(), 2u);
   ASSERT_TRUE(head.AwaitQuiesce(20000));
   w1->Stop();
+  w2->Stop();
+  head.Stop();
+}
+
+// The first `n` keys that route to `partition` (the head's payload[0] hash
+// routing).
+std::vector<int64_t> KeysOfPartition(uint32_t partition, size_t n) {
+  std::vector<int64_t> keys;
+  for (int64_t k = 0; keys.size() < n; ++k) {
+    if (Value(k).Hash() % kPartitions == partition) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+// A checkpoint cut on the source between a live migration's rounds must not
+// commit the dirty set that the migration's next delta still needs: every
+// write made to the partition while it moves has to reach the target. A
+// checkpoint thread hammers both workers while a writer keeps overwriting
+// the moving partition's keys, and the partition moves back and forth.
+TEST_F(ElasticFixture, CheckpointBetweenMigrationRoundsKeepsWrites) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port(), 0, /*serve_feed=*/true);
+  auto w2 = MakeWorker(2, head.port(), 0, /*serve_feed=*/true);
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+
+  constexpr uint32_t kPart = 0;
+  const std::vector<int64_t> keys = KeysOfPartition(kPart, 300);
+  std::map<int64_t, std::string> model;
+  for (int64_t k : keys) {
+    ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value("a")}, 20000).ok());
+    model[k] = "a";
+  }
+  ASSERT_TRUE(head.CheckpointAll().ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> write_failed{false};
+  std::thread writer([&] {
+    for (uint64_t i = 0; !stop.load(); ++i) {
+      const int64_t k = keys[i % keys.size()];
+      std::string v = "w" + std::to_string(i);
+      if (!head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok()) {
+        write_failed.store(true);
+        return;
+      }
+      model[k] = std::move(v);  // one writer: the last inject wins
+    }
+  });
+  std::thread checkpointer([&] {
+    while (!stop.load()) {
+      (void)w1->Checkpoint();
+      (void)w2->Checkpoint();
+    }
+  });
+  bool migrated = true;
+  for (int i = 0; i < 4 && migrated; ++i) {
+    const uint32_t to = head.OwnerOf(kPart) == 1 ? 2 : 1;
+    migrated = head.MigratePartition(kPart, to).ok();
+    EXPECT_TRUE(migrated) << "migration " << i;
+  }
+  stop.store(true);
+  writer.join();
+  checkpointer.join();
+  ASSERT_TRUE(migrated);
+  ASSERT_FALSE(write_failed.load());
+
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  EXPECT_EQ(MergedState({w1.get(), w2.get()}), model);
+
+  w1->Stop();
+  w2->Stop();
+  head.Stop();
+}
+
+// Every checkpoint after a base is a delta link of the partition's durable
+// chain. A restart restores base + deltas — including a delete made inside
+// the chain — exactly.
+TEST_F(ElasticFixture, RestartRestoresDeltaChainExactly) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  const uint16_t data_port = w1->data_port();
+
+  std::map<int64_t, std::string> model;
+  LoadDirect(*w1, 400, model);
+  const uint64_t base_epoch = LatestMeta(1).epoch;
+  auto put = [&](int64_t k, const std::string& v) {
+    ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok());
+    model[k] = v;
+  };
+  for (int64_t k = 0; k < 20; ++k) {
+    put(k, "b" + std::to_string(k));
+  }
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  for (int64_t k = 10; k < 30; ++k) {
+    ASSERT_TRUE(head.Inject(1, Tuple{Value(k)}, 20000).ok());  // delete
+    model.erase(k);
+  }
+  // Deletes and puts ride different entry channels: let the deletes land
+  // (durably, in their own links) before re-creating one.
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  put(15, "c15");  // re-created after its delete, in a later link
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  put(300, "d300");
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  EXPECT_GE(MinChainLength(1), 4u);
+  for (const auto& sm : LatestMeta(1).states) {
+    EXPECT_EQ(sm.chain.front().kind, checkpoint::EpochKind::kFull);
+    EXPECT_LE(sm.chain.front().epoch, base_epoch);
+    EXPECT_EQ(sm.chain.back().kind, checkpoint::EpochKind::kDelta);
+  }
+
+  w1->Stop();
+  w1.reset();
+  auto w1b = MakeWorker(1, head.port(), data_port);
+  ASSERT_TRUE(w1b->Start().ok());
+  EXPECT_EQ(MergedState({w1b.get()}), model);
+  ASSERT_TRUE(w1b->WaitJoined(10000));
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+
+  // The restored partitions have no delta baseline: the next epoch is a base.
+  put(400, "e400");
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  EXPECT_EQ(MinChainLength(1), 1u);
+  EXPECT_EQ(MergedState({w1b.get()}), model);
+
+  w1b->Stop();
+  head.Stop();
+}
+
+// A restart past a torn newest meta: the store falls back to the intact
+// epoch before it (base + 2 deltas or more), the head replays the unacked
+// suffix, and every write is present.
+TEST_F(ElasticFixture, RestartFallsBackPastTornMeta) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  const uint16_t data_port = w1->data_port();
+
+  std::map<int64_t, std::string> model;
+  LoadDirect(*w1, 400, model);
+  auto put_range = [&](int64_t lo, int64_t hi, const std::string& tag) {
+    for (int64_t k = lo; k < hi; ++k) {
+      std::string v = tag + std::to_string(k);
+      ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok());
+      model[k] = v;
+    }
+  };
+  put_range(50, 60, "b");
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  put_range(0, 10, "c");
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  const auto intact = LatestMeta(1);
+  EXPECT_GE(MinChainLength(1), 3u);
+
+  // An unacked suffix, then the worker dies. The newest meta on disk is a
+  // torn record of the epoch after the intact one.
+  put_range(90, 160, "d");
+  w1->Stop();
+  w1.reset();
+  std::vector<uint8_t> torn = intact.ToBytes();
+  torn.resize(torn.size() / 2);
+  {
+    const auto path = root_ / "backup" / "meta" /
+                      ("node1_epoch" + std::to_string(intact.epoch + 1) +
+                       ".meta");
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(torn.data(), 1, torn.size(), f), torn.size());
+    std::fclose(f);
+  }
+  EXPECT_EQ(LatestMeta(1).epoch, intact.epoch);
+
+  auto w1b = MakeWorker(1, head.port(), data_port);
+  ASSERT_TRUE(w1b->Start().ok()) << "an undecodable meta stopped the restart";
+  ASSERT_TRUE(w1b->WaitJoined(10000));
+  ASSERT_TRUE(head.AwaitQuiesce(30000)) << "replay did not drain the logs";
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  EXPECT_EQ(MergedState({w1b.get()}), model);
+  EXPECT_GT(LatestMeta(1).epoch, intact.epoch);  // the torn epoch rewritten
+
+  w1b->Stop();
+  head.Stop();
+}
+
+// The head's m-to-n recovery walks a dead member's chains: each lost
+// partition is pushed to a survivor link by link, base first, and the
+// replayed suffix lands on top.
+TEST_F(ElasticFixture, HeadRecoveryPushesChainedPartitions) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  auto w2 = MakeWorker(2, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+  ASSERT_FALSE(w1->OwnedPartitions().empty());
+
+  std::map<int64_t, std::string> model;
+  LoadDirect(*w1, 400, model);
+  LoadDirect(*w2, 400, model);
+  auto put_range = [&](int64_t lo, int64_t hi, const std::string& tag) {
+    for (int64_t k = lo; k < hi; ++k) {
+      std::string v = tag + std::to_string(k);
+      ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok());
+      model[k] = v;
+    }
+  };
+  put_range(100, 120, "b");
+  for (int64_t k = 0; k < 20; ++k) {
+    ASSERT_TRUE(head.Inject(1, Tuple{Value(k)}, 20000).ok());
+    model.erase(k);
+  }
+  // Deletes and puts ride different entry channels: let the deletes land
+  // before re-creating some of the keys.
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  put_range(10, 15, "c");  // re-creates deleted keys
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  ASSERT_TRUE(head.AwaitQuiesce(20000));
+  EXPECT_GE(MinChainLength(1), 3u);
+  put_range(250, 350, "d");  // unacked at the dead member
+
+  w1->Stop();
+  ASSERT_TRUE(head.RecoverMember(1).ok());
+  w1.reset();
+  ASSERT_TRUE(head.AwaitQuiesce(30000)) << "replay did not drain the logs";
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  EXPECT_EQ(w2->OwnedPartitions().size(), kPartitions);
+  EXPECT_EQ(MergedState({w2.get()}), model);
+
   w2->Stop();
   head.Stop();
 }

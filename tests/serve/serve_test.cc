@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,13 +149,27 @@ std::unique_ptr<KvDict> MakeDict() { return std::make_unique<KvDict>(); }
 
 // Cuts one epoch from `dict` the way the worker's Checkpoint does: under the
 // delta protocol, emitting a delta iff the dirty tracker is armed and the
-// tail does not demand a base.
-checkpoint::EpochTail::Entry CutEpoch(KvDict& dict, checkpoint::EpochTail& tail,
-                                      uint64_t epoch) {
+// tail does not demand a base. With `live` set, a base cut over an armed
+// tracker and a non-empty tail also serialises the epoch's delta into it —
+// what live subscribers receive instead of the base.
+checkpoint::EpochTail::Entry CutEpoch(
+    KvDict& dict, checkpoint::EpochTail& tail, uint64_t epoch,
+    std::vector<std::vector<uint8_t>>* live = nullptr) {
   dict.BeginCheckpoint();
+  const bool extends = dict.DeltaReady() && tail.latest_epoch() != 0;
   bool delta = dict.DeltaReady() && !tail.NeedsBase();
   auto blobs = checkpoint::SerializeEpochBlobs(dict, "store", /*num_chunks=*/2,
                                                delta, state::kChunkCodecPrefix);
+  if (live != nullptr) {
+    live->clear();
+    if (!delta && extends) {
+      auto live_blobs = checkpoint::SerializeEpochBlobs(
+          dict, "store", /*num_chunks=*/2, /*delta=*/true,
+          state::kChunkCodecPrefix);
+      EXPECT_TRUE(live_blobs.ok());
+      *live = std::move(*live_blobs);
+    }
+  }
   dict.EndCheckpoint();
   dict.ResolveEpoch(blobs.ok());
   EXPECT_TRUE(blobs.ok()) << blobs.status().ToString();
@@ -167,10 +182,29 @@ checkpoint::EpochTail::Entry CutEpoch(KvDict& dict, checkpoint::EpochTail& tail,
   return checkpoint::EpochTail::Entry{epoch, !delta, std::move(*blobs)};
 }
 
+uint64_t BlobBytes(const std::vector<std::vector<uint8_t>>& chunks) {
+  uint64_t n = 0;
+  for (const auto& c : chunks) {
+    n += c.size();
+  }
+  return n;
+}
+
+// Every entry of `backend`, for comparing replicas with their owner.
+std::map<int64_t, std::string> Contents(const state::StateBackend& backend) {
+  std::map<int64_t, std::string> out;
+  const auto* dict = dynamic_cast<const KvDict*>(&backend);
+  EXPECT_NE(dict, nullptr);
+  if (dict != nullptr) {
+    dict->ForEach([&](const int64_t& k, const std::string& v) { out[k] = v; });
+  }
+  return out;
+}
+
 TEST(ReplicaPipelineTest, BaseAndDeltaRoundTrip) {
   auto owner = MakeDict();
   owner->EnableDeltaTracking();
-  checkpoint::EpochTail tail(/*max_deltas=*/8);
+  checkpoint::EpochTail tail;
   state::ReplicaView view(MakeDict());
 
   owner->Put(1, "one");
@@ -205,7 +239,7 @@ TEST(ReplicaPipelineTest, BaseAndDeltaRoundTrip) {
 TEST(ReplicaPipelineTest, TailReplayCatchesUpFreshSubscriber) {
   auto owner = MakeDict();
   owner->EnableDeltaTracking();
-  checkpoint::EpochTail tail(/*max_deltas=*/8);
+  checkpoint::EpochTail tail;
 
   owner->Put(10, "a");
   CutEpoch(*owner, tail, 1);
@@ -235,21 +269,109 @@ TEST(ReplicaPipelineTest, TailReplayCatchesUpFreshSubscriber) {
   EXPECT_TRUE(ok);
 }
 
+// The tail re-bases by bytes: once the deltas retained since the base weigh
+// as much as the base, the next epoch is a base; and a run of deltas too
+// small to reach that still re-bases at DeltaChain::kMaxLinks links.
 TEST(ReplicaPipelineTest, DeltaCapForcesRebase) {
   auto owner = MakeDict();
   owner->EnableDeltaTracking();
-  checkpoint::EpochTail tail(/*max_deltas=*/2);
+  checkpoint::EpochTail tail;
 
-  owner->Put(1, "x");
-  EXPECT_TRUE(CutEpoch(*owner, tail, 1).base);
-  owner->Put(2, "x");
-  EXPECT_FALSE(CutEpoch(*owner, tail, 2).base);
-  owner->Put(3, "x");
-  EXPECT_FALSE(CutEpoch(*owner, tail, 3).base);
-  // Delta run at its cap: the next epoch must re-base, bounding replay.
-  owner->Put(4, "x");
-  EXPECT_TRUE(CutEpoch(*owner, tail, 4).base);
+  for (int64_t k = 0; k < 256; ++k) {
+    owner->Put(k, std::string(100, 'b'));
+  }
+  uint64_t epoch = 1;
+  auto base = CutEpoch(*owner, tail, epoch);
+  ASSERT_TRUE(base.base);
+  const uint64_t base_bytes = BlobBytes(base.chunks);
+  uint64_t delta_bytes = 0;
+  int deltas = 0;
+  while (delta_bytes < base_bytes) {
+    for (int64_t k = 0; k < 16; ++k) {
+      owner->Put(k + 16 * deltas, std::string(100, 'd'));
+    }
+    auto e = CutEpoch(*owner, tail, ++epoch);
+    ASSERT_FALSE(e.base) << "re-based at " << delta_bytes << " of "
+                         << base_bytes << " bytes";
+    delta_bytes += BlobBytes(e.chunks);
+    ++deltas;
+  }
+  EXPECT_GT(deltas, 4);
+  owner->Put(0, "x");
+  EXPECT_TRUE(CutEpoch(*owner, tail, ++epoch).base);
   EXPECT_EQ(tail.Replay().size(), 1u);
+
+  // Tiny deltas: the link cap, not the bytes, ends the run.
+  for (size_t i = 1; i < checkpoint::DeltaChain::kMaxLinks; ++i) {
+    owner->Put(1, "y" + std::to_string(i));
+    ASSERT_FALSE(CutEpoch(*owner, tail, ++epoch).base) << "link " << i;
+  }
+  EXPECT_EQ(tail.Replay().size(), checkpoint::DeltaChain::kMaxLinks);
+  owner->Put(1, "z");
+  EXPECT_TRUE(CutEpoch(*owner, tail, ++epoch).base);
+  EXPECT_EQ(tail.Replay().size(), 1u);
+}
+
+// A live subscriber keeps up on deltas alone: when the tail re-bases, the
+// base goes to the tail (for subscribers that connect later) and the live
+// feed gets that epoch's delta, so the base it already holds is never
+// re-applied. A late subscriber replaying the re-based tail converges to the
+// same contents.
+TEST(ReplicaPipelineTest, LiveSubscriberGetsOnlyDeltasAcrossTailRebase) {
+  auto owner = MakeDict();
+  owner->EnableDeltaTracking();
+  checkpoint::EpochTail tail;
+  state::ReplicaView live(MakeDict());
+
+  for (int64_t k = 0; k < 128; ++k) {
+    owner->Put(k, std::string(64, 'a'));
+  }
+  std::vector<std::vector<uint8_t>> live_delta;
+  auto first = CutEpoch(*owner, tail, 1, &live_delta);
+  ASSERT_TRUE(first.base);
+  EXPECT_TRUE(live_delta.empty());  // nothing to bridge yet: the base it is
+  ASSERT_TRUE(live.ApplyBase(7, 1, first.chunks).ok());
+
+  int rebases = 0;
+  uint64_t epoch = 1;
+  for (int i = 0; rebases < 2 && i < 1000; ++i) {
+    for (int64_t k = 0; k < 24; ++k) {
+      owner->Put((k * 7 + i) % 160, "v" + std::to_string(i));
+    }
+    owner->Erase((i * 13) % 160);
+    auto e = CutEpoch(*owner, tail, ++epoch, &live_delta);
+    if (e.base) {
+      ++rebases;
+      ASSERT_FALSE(live_delta.empty());
+      EXPECT_LT(BlobBytes(live_delta), BlobBytes(e.chunks));
+      ASSERT_TRUE(live.ApplyDelta(7, epoch, live_delta).ok());
+    } else {
+      ASSERT_TRUE(live.ApplyDelta(7, epoch, e.chunks).ok());
+    }
+  }
+  ASSERT_EQ(rebases, 2);
+  EXPECT_EQ(live.applied_epoch(), epoch);
+
+  std::map<int64_t, std::string> want = Contents(*owner);
+  std::map<int64_t, std::string> got;
+  ASSERT_TRUE(live.ReadWithin(0, [&](const state::StateBackend& b, uint64_t) {
+    got = Contents(b);
+  }));
+  EXPECT_EQ(got, want);
+
+  state::ReplicaView late(MakeDict());
+  for (const auto& e : tail.Replay()) {
+    if (e.base) {
+      ASSERT_TRUE(late.ApplyBase(7, e.epoch, e.chunks).ok());
+    } else {
+      ASSERT_TRUE(late.ApplyDelta(7, e.epoch, e.chunks).ok());
+    }
+  }
+  got.clear();
+  ASSERT_TRUE(late.ReadWithin(0, [&](const state::StateBackend& b, uint64_t) {
+    got = Contents(b);
+  }));
+  EXPECT_EQ(got, want);
 }
 
 TEST(ReplicaViewTest, StalenessBoundAgainstAnnounceWatermark) {
