@@ -225,11 +225,7 @@ WorkerEpochs MeasureWorkerEpochs(int64_t keys, double rate, int epochs) {
   }
   runtime::Deployment& d = *worker.deployment();
   LoadKeys(d, keys, /*rev=*/0);
-  // The partitions' chains start with an empty base cut at assignment, so
-  // the epoch carrying the load may be a delta; the chain rule re-bases the
-  // one after it.
-  (void)worker.Checkpoint();
-  (void)worker.Checkpoint();
+  (void)worker.Checkpoint();  // outgrows the empty bases cut at assignment
   for (const auto& sm : LatestMeta(backup).states) {
     out.full_bytes +=
         static_cast<double>(LinkBytes(backup, sm, sm.chain.front()));

@@ -3,12 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <set>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -383,122 +381,59 @@ Result<CheckpointMeta> BackupStore::ReadMeta(uint32_t node, uint64_t epoch) {
   return CheckpointMeta::FromBytes(bytes);
 }
 
-std::vector<uint64_t> BackupStore::PublishedEpochs(uint32_t node) const {
-  // Only exact meta names count: a leftover `.meta.tmp` is an unpublished
-  // (possibly torn) record.
-  std::vector<uint64_t> epochs;
+Result<uint64_t> BackupStore::LatestEpoch(uint32_t node) {
+  // The meta file is written last, so its presence marks a complete
+  // checkpoint; scan for the highest epoch. Only exact meta names count: a
+  // leftover `.meta.tmp` is an unpublished (possibly torn) record; a
+  // published one counts even if it no longer decodes (see the header).
+  uint64_t best = 0;
+  bool found = false;
   const std::string prefix = "node" + std::to_string(node) + "_epoch";
   std::error_code ec;
   for (const auto& entry :
        fs::directory_iterator(options_.root / "meta", ec)) {
     const std::string fname = entry.path().filename().string();
     auto name = ParseEpochName(fname, prefix);
-    if (name && name->rest == kMetaSuffix) {
-      epochs.push_back(name->epoch);
+    if (!name || name->rest != kMetaSuffix) {
+      continue;
+    }
+    if (!found || name->epoch > best) {
+      best = name->epoch;
+      found = true;
     }
   }
-  std::sort(epochs.rbegin(), epochs.rend());
-  return epochs;
-}
-
-Result<CheckpointMeta> BackupStore::ReadRestorableMeta(uint32_t node,
-                                                       uint64_t epoch) {
-  SDG_ASSIGN_OR_RETURN(CheckpointMeta meta, ReadMeta(node, epoch));
-  std::error_code ec;
-  for (const auto& sm : meta.states) {
-    const std::string name = StateChunkName(sm.state, sm.instance);
-    for (const auto& link : sm.chain) {
-      for (uint32_t i = 0; i < link.num_chunks; ++i) {
-        if (!fs::exists(ChunkPath(PlaceBackup(name, i), node, link.epoch,
-                                  name, i),
-                        ec)) {
-          return DataLossError("epoch " + std::to_string(epoch) + " of " +
-                               name + " misses chunk " + std::to_string(i) +
-                               " of link " + std::to_string(link.epoch));
-        }
-      }
-    }
+  if (!found) {
+    return NotFoundError("no checkpoint for node " + std::to_string(node));
   }
-  return meta;
-}
-
-Result<uint64_t> BackupStore::LatestEpoch(uint32_t node) {
-  // The meta is written last, so a published one marks a complete
-  // checkpoint — unless the record or a chain file was damaged since.
-  for (uint64_t epoch : PublishedEpochs(node)) {
-    auto meta = ReadRestorableMeta(node, epoch);
-    if (meta.ok()) {
-      return epoch;
-    }
-    SDG_LOG(kWarning) << "node " << node << ": skipping checkpoint epoch "
-                      << epoch << ": " << meta.status().ToString();
-  }
-  return NotFoundError("no restorable checkpoint for node " +
-                       std::to_string(node));
+  return best;
 }
 
 void BackupStore::PruneBefore(uint32_t node, uint64_t keep_epoch) {
   const std::string prefix = "node" + std::to_string(node) + "_epoch";
   // Chunk files are `<prefix><E>_<name>_chunk<i>.bin`; meta files are exact
   // `<prefix><E>.meta`, plus the `.meta.tmp` a crash mid-publish leaves.
-  enum class Kind { kChunk, kMeta, kMetaTmp };
-  struct Stale {
-    fs::path path;
-    uint64_t epoch;
-    Kind kind;
-  };
-  std::vector<Stale> stale;
-  auto collect = [&](const fs::path& dir, bool meta_dir) {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      const std::string fname = entry.path().filename().string();
-      auto name = ParseEpochName(fname, prefix);
-      if (!name || name->epoch >= keep_epoch) {
-        continue;
-      }
-      if (!meta_dir && name->rest.starts_with('_')) {
-        stale.push_back({entry.path(), name->epoch, Kind::kChunk});
-      } else if (meta_dir && name->rest == kMetaSuffix) {
-        stale.push_back({entry.path(), name->epoch, Kind::kMeta});
-      } else if (meta_dir && name->rest == kMetaTmpSuffix) {
-        stale.push_back({entry.path(), name->epoch, Kind::kMetaTmp});
-      }
+  auto stale = [&](const fs::path& path, bool meta_dir) {
+    const std::string fname = path.filename().string();
+    auto name = ParseEpochName(fname, prefix);
+    if (!name || name->epoch >= keep_epoch) {
+      return false;
     }
+    return meta_dir ? name->rest == kMetaSuffix || name->rest == kMetaTmpSuffix
+                    : name->rest.starts_with('_');
   };
-  for (uint32_t b = 0; b < options_.num_backup_nodes; ++b) {
-    collect(options_.root / ("backup" + std::to_string(b)), false);
-  }
-  collect(options_.root / "meta", true);
-  if (stale.empty()) {
-    return;
-  }
-  // When the newest published meta is damaged, a restart falls back to the
-  // newest restorable epoch below it: pin that epoch's meta and the chunks
-  // of every epoch its chains read.
-  std::optional<uint64_t> fallback;
-  std::set<uint64_t> pinned;
-  const std::vector<uint64_t> published = PublishedEpochs(node);
-  if (!published.empty() && !ReadRestorableMeta(node, published[0]).ok()) {
-    for (size_t i = 1; i < published.size() && !fallback; ++i) {
-      auto meta = ReadRestorableMeta(node, published[i]);
-      if (!meta.ok()) {
-        continue;
-      }
-      fallback = published[i];
-      pinned.insert(published[i]);
-      for (const auto& sm : meta->states) {
-        for (const auto& link : sm.chain) {
-          pinned.insert(link.epoch);
-        }
-      }
-    }
-  }
   std::error_code ec;
-  for (const auto& f : stale) {
-    const bool keep = (f.kind == Kind::kMeta && fallback == f.epoch) ||
-                      (f.kind == Kind::kChunk && pinned.count(f.epoch) > 0);
-    if (!keep) {
-      fs::remove(f.path, ec);
+  for (uint32_t b = 0; b < options_.num_backup_nodes; ++b) {
+    fs::path dir = options_.root / ("backup" + std::to_string(b));
+    for (const auto& entry : fs::directory_iterator(dir, ec)) {
+      if (stale(entry.path(), /*meta_dir=*/false)) {
+        fs::remove(entry.path(), ec);
+      }
+    }
+  }
+  for (const auto& entry :
+       fs::directory_iterator(options_.root / "meta", ec)) {
+    if (stale(entry.path(), /*meta_dir=*/true)) {
+      fs::remove(entry.path(), ec);
     }
   }
 }

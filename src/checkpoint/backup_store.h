@@ -93,17 +93,15 @@ class BackupStore {
   Status WriteMeta(uint32_t node, uint64_t epoch, const CheckpointMeta& meta);
   Result<CheckpointMeta> ReadMeta(uint32_t node, uint64_t epoch);
 
-  // Newest epoch of `node` that a restart can restore: its published meta
-  // decodes and every link of every state chain in it has all its chunk
-  // files (named by StateChunkName). A torn or undecodable meta, or one
-  // whose chain lost a file, is skipped with a warning, so recovery falls
-  // back to the previous restorable epoch instead of stopping.
+  // Highest epoch for which a published meta record exists for `node`. A
+  // damaged newest meta is not skipped for an older epoch: its epoch may
+  // have been acked, and the senders have trimmed their logs up to its
+  // watermarks, so replay cannot bring an older epoch up to date. Reading
+  // it fails instead, and so does the recovery that needs it.
   Result<uint64_t> LatestEpoch(uint32_t node);
 
   // Removes every epoch of `node` older than `keep_epoch`, including meta
-  // records a crash left unpublished (`.meta.tmp`) — except, when the newest
-  // published meta is damaged, the epoch LatestEpoch falls back to: its meta
-  // and the chunks of every epoch its chains reach back to stay.
+  // records a crash left unpublished (`.meta.tmp`).
   void PruneBefore(uint32_t node, uint64_t keep_epoch);
 
   // The one chain-restore loop: reads SE instance `sm`'s base+delta chain
@@ -136,11 +134,6 @@ class BackupStore {
                                   uint64_t epoch, const std::string& name,
                                   uint32_t chunk_index) const;
   std::filesystem::path MetaPath(uint32_t node, uint64_t epoch) const;
-
-  // Published meta epochs of `node`, newest first.
-  std::vector<uint64_t> PublishedEpochs(uint32_t node) const;
-  // The meta of (node, epoch) if it decodes and its chains are complete.
-  Result<CheckpointMeta> ReadRestorableMeta(uint32_t node, uint64_t epoch);
 
   // Writes queued segments of `st` until its queue drains (I/O pool).
   void DrainStream(ChunkStreamState* st);

@@ -72,7 +72,8 @@ std::string StateChunkName(uint32_t state, uint32_t instance);
 // retained since the base have reached the base's own bytes (replaying the
 // chain would then cost more than a fresh base). The elastic worker's
 // durable chains and the replica feed's EpochTail both follow it, so they
-// re-base at the same epoch.
+// re-base at the same epoch. A writer that knows the record count at the
+// cut also re-bases an Outgrown chain before serialising.
 class DeltaChain {
  public:
   static constexpr size_t kMaxLinks = 64;
@@ -82,12 +83,22 @@ class DeltaChain {
            delta_bytes_ >= base_bytes_;
   }
 
+  // True when state cut at `records` records has grown to twice its base's
+  // (or past an empty base): the records added since the base are alone a
+  // base's worth of delta, which the byte rule would re-base one epoch
+  // later, so this epoch is serialised once, as a base. This is how a load
+  // into a partition assigned empty lands: in one base.
+  bool Outgrown(uint64_t records) const {
+    return records > 0 && records >= 2 * base_records_;
+  }
+
   // Appends a committed epoch of `bytes` serialised bytes; a full link
-  // starts a new chain.
-  void Push(const ChainLink& link, uint64_t bytes) {
+  // starts a new chain, cut at `records` records (Outgrown's reference).
+  void Push(const ChainLink& link, uint64_t bytes, uint64_t records = 0) {
     if (link.kind == EpochKind::kFull) {
       links_.clear();
       base_bytes_ = bytes;
+      base_records_ = records;
       delta_bytes_ = 0;
     } else {
       delta_bytes_ += bytes;
@@ -98,6 +109,7 @@ class DeltaChain {
   void Clear() {
     links_.clear();
     base_bytes_ = 0;
+    base_records_ = 0;
     delta_bytes_ = 0;
   }
 
@@ -107,6 +119,7 @@ class DeltaChain {
  private:
   std::vector<ChainLink> links_;
   uint64_t base_bytes_ = 0;
+  uint64_t base_records_ = 0;
   uint64_t delta_bytes_ = 0;
 };
 

@@ -7,7 +7,8 @@
 // in-memory mirror of the partition's durable chain — so that
 //
 //   - a live subscriber receives each epoch once, in order, as a delta (a
-//     base only on ownership change), and
+//     base only on ownership change, or once the partition has outgrown its
+//     base and the delta would be as large), and
 //   - a (re)connecting subscriber replays base + deltas and is caught up
 //     without the owner re-serializing anything.
 //

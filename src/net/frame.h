@@ -267,6 +267,8 @@ inline constexpr uint32_t kCtrlCutover = 5;     // head->worker: finish migratio
 inline constexpr uint32_t kCtrlPrepared = 6;    // worker->head: base+deltas sent
 inline constexpr uint32_t kCtrlError = 7;       // worker->head: command failed
 inline constexpr uint32_t kCtrlPing = 8;        // head->worker: liveness probe
+// head->worker: the head abandoned migrating `partition` off this worker.
+inline constexpr uint32_t kCtrlAbortMigration = 9;
 struct ControlMsg {
   uint32_t op = 0;
   uint32_t partition = 0;

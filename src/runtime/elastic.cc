@@ -286,8 +286,9 @@ Status ElasticWorker::Checkpoint() {
   struct Cut {
     uint32_t partition = 0;
     state::StateBackend* backend = nullptr;
+    uint64_t records = 0;  // at the cut
     bool base = true;
-    bool extends = false;  // the tracker's baseline is the chain's last link
+    bool extends = false;  // a delta over the chain's last link is worth it
     std::vector<std::vector<uint8_t>> blobs;
     std::vector<std::vector<uint8_t>> live_delta;
   };
@@ -308,6 +309,7 @@ Status ElasticWorker::Checkpoint() {
       Cut cut;
       cut.partition = p;
       cut.backend = deployment_->StateInstance(options_.state, p);
+      cut.records = cut.backend->EntryCount();
       cut.backend->BeginCheckpoint();
       cuts.push_back(std::move(cut));
     }
@@ -324,10 +326,13 @@ Status ElasticWorker::Checkpoint() {
                                              state::kChunkCodecPrefix);
     };
     // A delta extends the committed chain only while the tracker's baseline
-    // is the chain's last link: not while a migration owns the tracker. At a
-    // re-base the chain rule asks for, live subscribers still get the delta.
+    // is the chain's last link: not while a migration owns the tracker. Nor
+    // once the state has outgrown its base: that delta is as large as a new
+    // base, which live subscribers then get as well. At a re-base the byte
+    // rule asks for, live subscribers still get the (small) delta.
     cut.extends = migrating_.count(p) == 0 && !chains_[p].empty() &&
-                  cut.backend->DeltaReady();
+                  cut.backend->DeltaReady() &&
+                  !chains_[p].Outgrown(cut.records);
     cut.base = !cut.extends || chains_[p].NeedsBase();
     auto blobs = serialize(/*delta=*/!cut.base);
     if (blobs.ok() && cut.base && cut.extends && options_.serve_feed) {
@@ -359,7 +364,7 @@ Status ElasticWorker::Checkpoint() {
     sm.state = 0;
     sm.instance = cut.partition;
     sm.num_chunks = kChunksPerPartition;
-    sm.record_count = cut.backend->EntryCount();
+    sm.record_count = cut.records;
     sm.kind = cut.base ? checkpoint::EpochKind::kFull
                        : checkpoint::EpochKind::kDelta;
     if (!cut.base) {
@@ -395,7 +400,7 @@ Status ElasticWorker::Checkpoint() {
     Cut& cut = cuts[i];
     const auto& sm = meta.states[i];
     chains_[cut.partition].Push(sm.chain.back(),
-                                checkpoint::BlobBytes(cut.blobs));
+                                checkpoint::BlobBytes(cut.blobs), cut.records);
     if (!options_.serve_feed) {
       continue;
     }
@@ -807,6 +812,22 @@ void ElasticWorker::HandleControl(net::Socket& socket,
       if (was_owned) {
         // Make the release durable. Outside the op lock: Checkpoint takes it.
         (void)Checkpoint();
+      }
+      break;
+    }
+    case net::kCtrlAbortMigration: {
+      // The head gave up on moving the partition off this worker (e.g. its
+      // wait for kCtrlPrepared timed out): close the prepared session and
+      // hand the delta tracker back to the chain. The partition stays owned.
+      std::scoped_lock op(op_mutex_);
+      {
+        std::lock_guard<std::mutex> lock(outbound_mutex_);
+        if (outbound_ && outbound_->partition == msg.partition) {
+          outbound_.reset();
+        }
+      }
+      if (migrating_.count(msg.partition) > 0) {
+        EndMigration(msg.partition);
       }
       break;
     }
@@ -1691,12 +1712,20 @@ Status ElasticHead::MigratePartition(uint32_t partition,
   PurgeControl(net::kCtrlPrepared, partition, "");
   PurgeControl(net::kCtrlDone, partition, "migrated");
 
+  // The target drops what it received; the source, which still owns the
+  // partition, ends its side of the move (a no-op once its rounds or the
+  // cutover ended it).
   auto abort = [&](const Status& why) -> Status {
     net::ControlMsg release;
     release.op = net::kCtrlRelease;
     release.partition = partition;
     (void)server_->SendToMember(target_member, net::FrameType::kControl,
                                 release.Encode());
+    net::ControlMsg drop;
+    drop.op = net::kCtrlAbortMigration;
+    drop.partition = partition;
+    (void)server_->SendToMember(source, net::FrameType::kControl,
+                                drop.Encode());
     SDG_LOG(kWarning) << "head: migration of p" << partition << " to m"
                    << target_member << " aborted: " << why.ToString();
     return why;
@@ -1769,9 +1798,10 @@ Status ElasticHead::RecoverMember(uint32_t member) {
       it->second.alive = false;
     }
   }
-  // The dead member's last restorable epoch (if it ever checkpointed). With
+  // The dead member's last published epoch (if it ever checkpointed). With
   // no epoch the partitions restart empty — and the head's logs, never
-  // acked, still hold every item, so replay rebuilds the state.
+  // acked, still hold every item, so replay rebuilds the state. A damaged
+  // epoch fails the recovery: the logs were trimmed up to its watermarks.
   checkpoint::CheckpointMeta meta;
   auto latest = store_->LatestEpoch(member);
   if (latest.ok()) {
@@ -1797,22 +1827,23 @@ Status ElasticHead::RecoverMember(uint32_t member) {
     uint32_t p = lost[i];
     ChainChunks links;
     std::vector<net::SourceWatermark> watermarks;
+    Status read;
     for (const auto& sm : meta.states) {
-      if (sm.instance != p) {
-        continue;
+      if (sm.instance == p && read.ok()) {
+        read = store_->ReadChain(
+            member, sm, [&links](std::vector<std::vector<uint8_t>> chunks) {
+              links.push_back(std::move(chunks));
+              return Status::Ok();
+            });
       }
-      Status read = store_->ReadChain(
-          member, sm,
-          [&links](std::vector<std::vector<uint8_t>> chunks) {
-            links.push_back(std::move(chunks));
-            return Status::Ok();
-          });
-      if (!read.ok()) {
-        links.clear();
-        if (first.ok()) {
-          first = read;
-        }
+    }
+    if (!read.ok()) {
+      // Pushing the watermarks without the state would skip the acked
+      // writes the chain held: leave the partition unrecovered.
+      if (first.ok()) {
+        first = read;
       }
+      continue;
     }
     for (const auto& tm : meta.tasks) {
       if (tm.instance % options_.partitions != p) {

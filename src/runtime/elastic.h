@@ -111,8 +111,9 @@ struct ElasticWorkerOptions {
   // get a delta every epoch — at a re-base epoch the base goes to the store
   // and the tail, and the epoch's small delta to the live feed — and a base
   // only when the partition's delta baseline is new (restore, migration,
-  // release). An EpochTail per partition mirrors the durable chain (base +
-  // deltas) for reconnect replay and re-bases with it.
+  // release) or the partition outgrew its base (DeltaChain::Outgrown), when
+  // the delta would be as large. An EpochTail per partition mirrors the
+  // durable chain (base + deltas) for reconnect replay and re-bases with it.
   bool serve_feed = false;
   // Sink TEs whose outputs are forwarded to the head as kResponse frames
   // (request_id = the item's user_tag) — the strong-read reply path. They
@@ -234,8 +235,9 @@ class ElasticWorker {
   uint64_t epoch_ = 0;
   // Guarded by op_mutex_: each partition's committed durable chain, and the
   // partitions with an outbound migration in flight. A migration owns the
-  // partition's delta tracker from its base round to its cutover, so a
-  // checkpoint in between writes a full base and hands the frozen set back.
+  // partition's delta tracker from its base round to its cutover (or the
+  // head's kCtrlAbortMigration), so a checkpoint in between writes a full
+  // base and hands the frozen set back.
   std::vector<checkpoint::DeltaChain> chains_;
   std::set<uint32_t> migrating_;
 

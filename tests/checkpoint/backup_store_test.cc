@@ -75,9 +75,6 @@ TEST_F(BackupStoreTest, MetaRoundTripAndLatestEpoch) {
                         {{2, 0, 17}}});
   meta.states.push_back({/*state=*/0, /*instance=*/0, /*num_chunks=*/4,
                          /*record_count=*/100});
-  // The state's chunks, without which the epoch would not be restorable.
-  ASSERT_TRUE(
-      store.WriteChunks(5, 3, StateChunkName(0, 0), MakeChunks(4, 8)).ok());
   ASSERT_TRUE(store.WriteMeta(5, 3, meta).ok());
 
   auto latest = store.LatestEpoch(5);
@@ -174,17 +171,14 @@ void CutChainedEpoch(BackupStore& store, Dict& dict, DeltaChain& chain,
   meta.states.push_back(sm);
   ASSERT_TRUE(store.WriteMeta(1, epoch, meta).ok());
   dict.ResolveEpoch(true);
-  uint64_t bytes = 0;
-  for (const auto& b : *blobs) {
-    bytes += b.size();
-  }
-  chain.Push(sm.chain.back(), bytes);
+  chain.Push(sm.chain.back(), BlobBytes(*blobs));
 }
 
-// A chain of base + 2 deltas, then a newer epoch whose meta is truncated
-// on disk: LatestEpoch falls back to the last intact epoch, whose chain
-// restores exactly, and pruning past it keeps that chain.
-TEST_F(BackupStoreTest, TornNewestMetaFallsBackToPreviousChain) {
+// A chain of base + 2 deltas restores exactly, including a delete of a key
+// an earlier delta wrote. A newer epoch whose meta is then truncated on disk
+// is still the latest: it may have been acked, so the store does not fall
+// back past it, and reading it fails.
+TEST_F(BackupStoreTest, TornNewestMetaIsNotSkipped) {
   BackupStore store(Options(2));
   Dict owner;
   owner.EnableDeltaTracking();
@@ -200,44 +194,32 @@ TEST_F(BackupStoreTest, TornNewestMetaFallsBackToPreviousChain) {
   owner.Erase(3);  // a delete of a key the previous delta wrote
   owner.Put(500, "new");
   CutChainedEpoch(store, owner, chain, 3);
-  const auto want = Contents(owner);
+
+  auto meta = store.ReadMeta(1, 3);
+  ASSERT_TRUE(meta.ok());
+  ASSERT_EQ(meta->states.size(), 1u);
+  const auto& links = meta->states[0].chain;
+  ASSERT_EQ(links.size(), 3u);
+  EXPECT_EQ(links.front().kind, EpochKind::kFull);
+  EXPECT_EQ(links.back().kind, EpochKind::kDelta);
+  Dict restored;
+  Status st = RestoreChain(store, 1, meta->states[0], restored);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(Contents(restored), Contents(owner));
+
   owner.Put(6, "six");
   CutChainedEpoch(store, owner, chain, 4);
-  ASSERT_EQ(chain.links().size(), 4u);
-
   const fs::path meta4 = dir_.path() / "meta" / "node1_epoch4.meta";
   fs::resize_file(meta4, fs::file_size(meta4) / 2);
-  ASSERT_FALSE(store.ReadMeta(1, 4).ok());
-
-  auto restore = [&]() -> std::map<int64_t, std::string> {
-    auto latest = store.LatestEpoch(1);
-    EXPECT_TRUE(latest.ok()) << latest.status().ToString();
-    if (!latest.ok()) {
-      return {};
-    }
-    EXPECT_EQ(*latest, 3u);
-    auto meta = store.ReadMeta(1, *latest);
-    EXPECT_TRUE(meta.ok());
-    EXPECT_EQ(meta->states.size(), 1u);
-    const auto& links = meta->states[0].chain;
-    EXPECT_EQ(links.size(), 3u);
-    EXPECT_EQ(links.front().kind, EpochKind::kFull);
-    EXPECT_EQ(links.back().kind, EpochKind::kDelta);
-    Dict restored;
-    Status st = RestoreChain(store, 1, meta->states[0], restored);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    return Contents(restored);
-  };
-  EXPECT_EQ(restore(), want);
-
-  // Pruning below the torn epoch's own chain base must keep what a restart
-  // restores.
-  store.PruneBefore(1, 4);
-  EXPECT_EQ(restore(), want);
+  auto latest = store.LatestEpoch(1);
+  ASSERT_TRUE(latest.ok());
+  EXPECT_EQ(*latest, 4u);
+  EXPECT_FALSE(store.ReadMeta(1, 4).ok());
 }
 
-// A meta whose chain lost a chunk file is not restorable either.
-TEST_F(BackupStoreTest, LatestEpochSkipsChainWithMissingChunk) {
+// A published epoch whose chain lost a chunk file is still the latest, and
+// restoring it fails rather than returning part of the state.
+TEST_F(BackupStoreTest, ChainWithMissingChunkFailsToRestore) {
   BackupStore store(Options(1));
   Dict owner;
   owner.EnableDeltaTracking();
@@ -249,7 +231,11 @@ TEST_F(BackupStoreTest, LatestEpochSkipsChainWithMissingChunk) {
   fs::remove(dir_.path() / "backup0" / "node1_epoch2_se0_0_chunk1.bin");
   auto latest = store.LatestEpoch(1);
   ASSERT_TRUE(latest.ok());
-  EXPECT_EQ(*latest, 1u);
+  EXPECT_EQ(*latest, 2u);
+  auto meta = store.ReadMeta(1, 2);
+  ASSERT_TRUE(meta.ok());
+  Dict restored;
+  EXPECT_FALSE(RestoreChain(store, 1, meta->states[0], restored).ok());
 }
 
 TEST_F(BackupStoreTest, LatestEpochOfUnknownNodeFails) {

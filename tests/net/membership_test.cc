@@ -331,10 +331,9 @@ class ElasticFixture : public ::testing::Test {
   }
 
   // Writes `keys` of the partitions `w` owns straight into its deployment
-  // (the bulk path, bypassing the head's log) and checkpoints twice: the
-  // partitions' first bases were cut empty at assignment, so by the chain
-  // rule the epoch after the one carrying the load re-bases if that one was
-  // a delta. Afterwards every chain's base holds the load, and small writes
+  // (the bulk path, bypassing the head's log) and checkpoints once. The
+  // partitions' first bases were cut empty at assignment; the load outgrows
+  // them, so that one checkpoint is each chain's new base, and small writes
   // extend it link by link.
   void LoadDirect(elastic::ElasticWorker& w, int64_t keys,
                   std::map<int64_t, std::string>& model) {
@@ -350,7 +349,6 @@ class ElasticFixture : public ::testing::Test {
     }
     ASSERT_TRUE(w.deployment()->InjectAll("put", std::move(batch)).ok());
     w.deployment()->Drain();
-    ASSERT_TRUE(w.Checkpoint().ok());
     ASSERT_TRUE(w.Checkpoint().ok());
   }
 
@@ -377,6 +375,30 @@ class ElasticFixture : public ::testing::Test {
       n = std::min(n, sm.chain.size());
     }
     return n;
+  }
+
+  // Moves the chunk files of link `link` of `member`'s chain `sm` out of
+  // the store; returns (store path, aside path) pairs to move them back.
+  std::vector<std::pair<std::filesystem::path, std::filesystem::path>>
+  MoveLinkAside(uint32_t member, const checkpoint::StateInstanceMeta& sm,
+                const checkpoint::ChainLink& link) {
+    const std::string prefix =
+        "node" + std::to_string(member) + "_epoch" +
+        std::to_string(link.epoch) + "_" +
+        checkpoint::StateChunkName(sm.state, sm.instance) + "_chunk";
+    std::vector<std::pair<std::filesystem::path, std::filesystem::path>>
+        moved;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(root_ / "backup")) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        moved.emplace_back(entry.path(), root_ / entry.path().filename());
+      }
+    }
+    EXPECT_EQ(moved.size(), link.num_chunks);
+    for (const auto& [from, to] : moved) {
+      std::filesystem::rename(from, to);
+    }
+    return moved;
   }
 
   std::filesystem::path root_;
@@ -706,6 +728,13 @@ TEST_F(ElasticFixture, RestartRestoresDeltaChainExactly) {
   std::map<int64_t, std::string> model;
   LoadDirect(*w1, 400, model);
   const uint64_t base_epoch = LatestMeta(1).epoch;
+  // The load was serialised once: each chain is that epoch's base alone.
+  for (const auto& sm : LatestMeta(1).states) {
+    ASSERT_EQ(sm.chain.size(), 1u) << "p" << sm.instance;
+    EXPECT_EQ(sm.chain[0].kind, checkpoint::EpochKind::kFull);
+    EXPECT_EQ(sm.chain[0].epoch, base_epoch);
+    EXPECT_GT(sm.record_count, 0u);
+  }
   auto put = [&](int64_t k, const std::string& v) {
     ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok());
     model[k] = v;
@@ -729,7 +758,7 @@ TEST_F(ElasticFixture, RestartRestoresDeltaChainExactly) {
   EXPECT_GE(MinChainLength(1), 4u);
   for (const auto& sm : LatestMeta(1).states) {
     EXPECT_EQ(sm.chain.front().kind, checkpoint::EpochKind::kFull);
-    EXPECT_LE(sm.chain.front().epoch, base_epoch);
+    EXPECT_EQ(sm.chain.front().epoch, base_epoch);
     EXPECT_EQ(sm.chain.back().kind, checkpoint::EpochKind::kDelta);
   }
 
@@ -751,10 +780,12 @@ TEST_F(ElasticFixture, RestartRestoresDeltaChainExactly) {
   head.Stop();
 }
 
-// A restart past a torn newest meta: the store falls back to the intact
-// epoch before it (base + 2 deltas or more), the head replays the unacked
-// suffix, and every write is present.
-TEST_F(ElasticFixture, RestartFallsBackPastTornMeta) {
+// A damaged newest epoch is one the head may already have trimmed its logs
+// for: its acks went out once its meta was published. Falling back to an
+// older epoch would restore watermarks the logs no longer reach back to, so
+// a restart refuses to start instead of returning with writes missing. Once
+// the epoch is whole again, the restart restores every write.
+TEST_F(ElasticFixture, RestartRefusesDamagedAckedEpoch) {
   elastic::ElasticHead head(HeadOptions());
   ASSERT_TRUE(head.Start().ok());
   auto w1 = MakeWorker(1, head.port());
@@ -776,35 +807,45 @@ TEST_F(ElasticFixture, RestartFallsBackPastTornMeta) {
   ASSERT_TRUE(head.CheckpointAll().ok());
   put_range(0, 10, "c");
   ASSERT_TRUE(head.CheckpointAll().ok());
-  ASSERT_TRUE(head.AwaitQuiesce(20000));
-  const auto intact = LatestMeta(1);
+  ASSERT_TRUE(head.AwaitQuiesce(20000));  // every write acked
+  const auto acked = LatestMeta(1);
   EXPECT_GE(MinChainLength(1), 3u);
-
-  // An unacked suffix, then the worker dies. The newest meta on disk is a
-  // torn record of the epoch after the intact one.
-  put_range(90, 160, "d");
+  put_range(90, 160, "d");  // unacked: the head replays it
   w1->Stop();
   w1.reset();
-  std::vector<uint8_t> torn = intact.ToBytes();
-  torn.resize(torn.size() / 2);
-  {
-    const auto path = root_ / "backup" / "meta" /
-                      ("node1_epoch" + std::to_string(intact.epoch + 1) +
-                       ".meta");
-    std::FILE* f = std::fopen(path.c_str(), "wb");
+
+  const auto meta_path = root_ / "backup" / "meta" /
+                         ("node1_epoch" + std::to_string(acked.epoch) +
+                          ".meta");
+  auto write_meta = [&](const std::vector<uint8_t>& bytes) {
+    std::FILE* f = std::fopen(meta_path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(torn.data(), 1, torn.size(), f), torn.size());
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
     std::fclose(f);
+  };
+  // A torn meta.
+  std::vector<uint8_t> torn = acked.ToBytes();
+  torn.resize(torn.size() / 2);
+  write_meta(torn);
+  EXPECT_FALSE(MakeWorker(1, head.port(), data_port)->Start().ok())
+      << "restarted past a torn acked epoch";
+  write_meta(acked.ToBytes());
+
+  // A chain that lost the chunk files of its delta link before the last.
+  const auto& sm = acked.states.front();
+  ASSERT_GE(sm.chain.size(), 3u);
+  const auto moved = MoveLinkAside(1, sm, sm.chain[sm.chain.size() - 2]);
+  EXPECT_FALSE(MakeWorker(1, head.port(), data_port)->Start().ok())
+      << "restarted from a chain with a missing link";
+  for (const auto& [from, to] : moved) {
+    std::filesystem::rename(to, from);
   }
-  EXPECT_EQ(LatestMeta(1).epoch, intact.epoch);
 
   auto w1b = MakeWorker(1, head.port(), data_port);
-  ASSERT_TRUE(w1b->Start().ok()) << "an undecodable meta stopped the restart";
+  ASSERT_TRUE(w1b->Start().ok());
   ASSERT_TRUE(w1b->WaitJoined(10000));
   ASSERT_TRUE(head.AwaitQuiesce(30000)) << "replay did not drain the logs";
-  ASSERT_TRUE(head.CheckpointAll().ok());
   EXPECT_EQ(MergedState({w1b.get()}), model);
-  EXPECT_GT(LatestMeta(1).epoch, intact.epoch);  // the torn epoch rewritten
 
   w1b->Stop();
   head.Stop();
@@ -857,6 +898,97 @@ TEST_F(ElasticFixture, HeadRecoveryPushesChainedPartitions) {
   EXPECT_EQ(w2->OwnedPartitions().size(), kPartitions);
   EXPECT_EQ(MergedState({w2.get()}), model);
 
+  w2->Stop();
+  head.Stop();
+}
+
+// A dead member whose acked chain lost a link: pushing the partition with
+// the epoch's watermarks but without that link would drop the link's writes
+// for good (the head's logs were trimmed up to those watermarks). The
+// recovery fails for that partition and leaves it where it was; the dead
+// member's intact partitions still move to the survivor.
+TEST_F(ElasticFixture, HeadRecoveryRefusesPartitionWithDamagedChain) {
+  elastic::ElasticHead head(HeadOptions());
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  auto w2 = MakeWorker(2, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+
+  std::map<int64_t, std::string> model;
+  LoadDirect(*w1, 400, model);
+  for (int64_t k = 0; k < 40; ++k) {
+    ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value("b")}, 20000).ok());
+  }
+  ASSERT_TRUE(head.CheckpointAll().ok());
+  ASSERT_TRUE(head.AwaitQuiesce(20000));  // every write acked
+  const auto meta = LatestMeta(1);
+  ASSERT_GE(meta.states.size(), 2u);
+  const auto& damaged = meta.states.front();
+  ASSERT_GE(damaged.chain.size(), 2u);
+  MoveLinkAside(1, damaged, damaged.chain.back());
+
+  w1->Stop();
+  EXPECT_FALSE(head.RecoverMember(1).ok());
+  EXPECT_EQ(head.OwnerOf(damaged.instance), 1u);
+  for (const auto& sm : meta.states) {
+    if (sm.instance != damaged.instance) {
+      EXPECT_EQ(head.OwnerOf(sm.instance), 2u) << "p" << sm.instance;
+    }
+  }
+  w1.reset();
+  w2->Stop();
+  head.Stop();
+}
+
+// A migration the head abandons — here its wait for the source's
+// kCtrlPrepared times out at once — must hand the partition's delta tracker
+// back on the source: its later checkpoints extend the chain with deltas
+// again instead of writing a full base every epoch.
+TEST_F(ElasticFixture, AbandonedMigrationReturnsSourceToDeltaLinks) {
+  auto opts = HeadOptions();
+  opts.migrate_timeout_ms = 0;
+  elastic::ElasticHead head(std::move(opts));
+  ASSERT_TRUE(head.Start().ok());
+  auto w1 = MakeWorker(1, head.port());
+  auto w2 = MakeWorker(2, head.port());
+  ASSERT_TRUE(w1->Start().ok());
+  ASSERT_TRUE(w2->Start().ok());
+  ASSERT_TRUE(w1->WaitJoined(10000));
+  ASSERT_TRUE(w2->WaitJoined(10000));
+  ASSERT_TRUE(head.WaitForAssignment(10000));
+
+  const uint32_t part = w1->OwnedPartitions().front();
+  std::map<int64_t, std::string> model;
+  LoadDirect(*w1, 20000, model);
+  LoadDirect(*w2, 400, model);
+  EXPECT_FALSE(head.MigratePartition(part, 2).ok());
+  EXPECT_EQ(head.OwnerOf(part), 1u);
+
+  // The control channel is ordered: these checkpoints run after the source
+  // handled the migration and its abort.
+  const std::vector<int64_t> keys = KeysOfPartition(part, 20);
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t k : keys) {
+      std::string v = "r" + std::to_string(round);
+      ASSERT_TRUE(head.Inject(0, Tuple{Value(k), Value(v)}, 20000).ok());
+      model[k] = v;
+    }
+    ASSERT_TRUE(head.AwaitQuiesce(20000));
+    ASSERT_TRUE(head.CheckpointMember(1, 20000).ok());
+  }
+  for (const auto& sm : LatestMeta(1).states) {
+    if (sm.instance == part) {
+      EXPECT_EQ(sm.chain.back().kind, checkpoint::EpochKind::kDelta);
+      EXPECT_GE(sm.chain.size(), 2u);
+    }
+  }
+  EXPECT_EQ(MergedState({w1.get(), w2.get()}), model);
+
+  w1->Stop();
   w2->Stop();
   head.Stop();
 }

@@ -182,14 +182,6 @@ checkpoint::EpochTail::Entry CutEpoch(
   return checkpoint::EpochTail::Entry{epoch, !delta, std::move(*blobs)};
 }
 
-uint64_t BlobBytes(const std::vector<std::vector<uint8_t>>& chunks) {
-  uint64_t n = 0;
-  for (const auto& c : chunks) {
-    n += c.size();
-  }
-  return n;
-}
-
 // Every entry of `backend`, for comparing replicas with their owner.
 std::map<int64_t, std::string> Contents(const state::StateBackend& backend) {
   std::map<int64_t, std::string> out;
@@ -283,7 +275,7 @@ TEST(ReplicaPipelineTest, DeltaCapForcesRebase) {
   uint64_t epoch = 1;
   auto base = CutEpoch(*owner, tail, epoch);
   ASSERT_TRUE(base.base);
-  const uint64_t base_bytes = BlobBytes(base.chunks);
+  const uint64_t base_bytes = checkpoint::BlobBytes(base.chunks);
   uint64_t delta_bytes = 0;
   int deltas = 0;
   while (delta_bytes < base_bytes) {
@@ -293,7 +285,7 @@ TEST(ReplicaPipelineTest, DeltaCapForcesRebase) {
     auto e = CutEpoch(*owner, tail, ++epoch);
     ASSERT_FALSE(e.base) << "re-based at " << delta_bytes << " of "
                          << base_bytes << " bytes";
-    delta_bytes += BlobBytes(e.chunks);
+    delta_bytes += checkpoint::BlobBytes(e.chunks);
     ++deltas;
   }
   EXPECT_GT(deltas, 4);
@@ -343,7 +335,8 @@ TEST(ReplicaPipelineTest, LiveSubscriberGetsOnlyDeltasAcrossTailRebase) {
     if (e.base) {
       ++rebases;
       ASSERT_FALSE(live_delta.empty());
-      EXPECT_LT(BlobBytes(live_delta), BlobBytes(e.chunks));
+      EXPECT_LT(checkpoint::BlobBytes(live_delta),
+                checkpoint::BlobBytes(e.chunks));
       ASSERT_TRUE(live.ApplyDelta(7, epoch, live_delta).ok());
     } else {
       ASSERT_TRUE(live.ApplyDelta(7, epoch, e.chunks).ok());
